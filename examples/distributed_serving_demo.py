@@ -5,11 +5,11 @@ verifying at each rung that the answer never changes:
 
 1. a single :class:`repro.serve.ChipSession` (the reference),
 2. a :class:`repro.serve.ChipPool` on the ``process`` executor — one
-   programmed chip per worker process, shards shipped through the JSON
-   schema,
+   programmed chip per worker process, shard arrays shipped through shared
+   memory,
 3. a socket :class:`~repro.serve.distributed.ChipServer` on localhost with a
-   :class:`~repro.serve.distributed.RemoteSession` client — the same JSON,
-   now over TCP,
+   :class:`~repro.serve.distributed.PipelinedSession` client — the same
+   arrays as raw binary frames, now over TCP,
 4. an :class:`~repro.serve.distributed.InferenceGateway` fanning one batch
    across the remote server *and* a local pool with capacity-weighted
    sharding.
@@ -30,7 +30,7 @@ from repro.serve.distributed import (
     ChipServer,
     GatewayEndpoint,
     InferenceGateway,
-    RemoteSession,
+    PipelinedSession,
 )
 from repro.snn import Dense, Network, Trainer, convert_to_snn
 from repro.utils.units import format_energy
@@ -94,7 +94,7 @@ def main() -> None:
         snn, jobs=2, config=config, timesteps=16, encoder="poisson", seed=7
     )
     with ChipServer(server_pool, port=0, workload="demo-mlp").start() as server:
-        with RemoteSession.connect(server.endpoint) as remote:
+        with PipelinedSession.connect(server.endpoint) as remote:
             info = remote.info()
             served = remote.infer(request)
             print(

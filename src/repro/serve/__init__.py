@@ -15,8 +15,8 @@ server, queue worker or sweep harness can sit on:
   merging shard responses into one result identical to a single-session
   run.
 * :mod:`repro.serve.distributed` — the multi-host layer: the executor
-  registry, a socket chip server plus :class:`RemoteSession` client, and a
-  capacity-weighted multi-endpoint :class:`InferenceGateway`.
+  registry, a socket chip server plus :class:`PipelinedSession` client, and
+  a capacity-weighted multi-endpoint :class:`InferenceGateway`.
 
 Quickstart::
 
@@ -36,7 +36,6 @@ from repro.serve.distributed import (
     GatewayEndpoint,
     InferenceGateway,
     PipelinedSession,
-    RemoteSession,
 )
 from repro.serve.pool import ChipPool
 from repro.serve.retry import (
@@ -69,7 +68,6 @@ __all__ = [
     "InferenceRequest",
     "InferenceResponse",
     "PipelinedSession",
-    "RemoteSession",
     "RetryBudget",
     "RetryBudgetExhausted",
     "retry_backoff",

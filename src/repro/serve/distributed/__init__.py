@@ -6,15 +6,15 @@ identical to a single local :class:`~repro.serve.ChipSession`:
 
 * **executors** (:mod:`~repro.serve.distributed.executors`) — pluggable
   shard execution for :class:`~repro.serve.ChipPool`: ``inline``, ``thread``
-  or ``process`` (one programmed chip per ``multiprocessing`` worker, shards
-  shipped through the JSON schema).
+  or ``process`` (one programmed chip per ``multiprocessing`` worker, shard
+  arrays shipped through shared memory).
 * **server/client** (:mod:`~repro.serve.distributed.server` /
   :mod:`~repro.serve.distributed.client`) — an :mod:`asyncio` chip daemon
-  answering newline-delimited JSON with pipelined request ids and
-  cross-client dynamic batching, :class:`RemoteSession`, which gives a chip
-  on another host the ``ChipSession`` surface (with reconnect-and-retry
-  across server restarts), and :class:`PipelinedSession`, which keeps many
-  tagged requests in flight over a small connection pool.
+  answering protocol-3 binary frames with pipelined request ids and
+  cross-client dynamic batching, and :class:`PipelinedSession`, which gives
+  a chip on another host the ``ChipSession`` surface while keeping many
+  tagged requests in flight over a small connection pool (with
+  resubmission across server restarts).
 * **gateway** (:mod:`~repro.serve.distributed.gateway`) — fans a batch out
   across several endpoints (local pools and/or remote sessions) with
   capacity-weighted sharding and an exact streaming merge;
@@ -42,7 +42,6 @@ from repro.serve.distributed.client import (
     CancellableFuture,
     PipelinedSession,
     RemoteServerError,
-    RemoteSession,
     parse_endpoint,
     split_endpoints,
 )
@@ -50,7 +49,6 @@ from repro.serve.distributed.executors import (
     EXECUTORS,
     InlineExecutor,
     ProcessExecutor,
-    ProcessJsonExecutor,
     SessionSpec,
     ShardExecutor,
     ThreadExecutor,
@@ -75,9 +73,7 @@ __all__ = [
     "InlineExecutor",
     "PipelinedSession",
     "ProcessExecutor",
-    "ProcessJsonExecutor",
     "RemoteServerError",
-    "RemoteSession",
     "ServeRejection",
     "ServingWorkload",
     "SessionSpec",

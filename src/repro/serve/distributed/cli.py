@@ -3,9 +3,8 @@
 Three subcommands, all runnable as ``python -m repro.serve.distributed``:
 
 * ``serve`` — load a registered MLP benchmark, open a :class:`ChipPool` on
-  it and serve inference on a TCP port (JSON lines or binary frames,
-  negotiated per connection) until interrupted (or a client sends the
-  ``shutdown`` op)::
+  it and serve inference on a TCP port (protocol-3 binary frames) until
+  interrupted (or a client sends the ``shutdown`` op)::
 
       PYTHONPATH=src python -m repro.serve.distributed serve \\
           --workload mnist-mlp --port 7070 --jobs 2
@@ -18,13 +17,13 @@ Three subcommands, all runnable as ``python -m repro.serve.distributed``:
 
 * ``smoke`` — the CI end-to-end check: boot a server subprocess on a free
   port (logging to ``--server-log``, dumped on failure), wait for
-  readiness, run a client inference twice (asserting the served results
-  are deterministic and well-formed), drive two concurrent pipelined
-  clients and assert their dynamically batched responses are identical to
-  the serial ones, tear the server down — then boot a bounded-queue server
-  in process and drive one deliberately-shed request, asserting the
-  structured ``overloaded`` reply while every admitted request stays
-  exact.  Exit code 0 means the whole loop works.
+  readiness, run a client inference twice, one request at a time
+  (asserting the served results are deterministic and well-formed), drive
+  two concurrent pipelined clients and assert their dynamically batched
+  responses are identical to the serial ones, tear the server down — then
+  boot a bounded-queue server in process and drive one deliberately-shed
+  request, asserting the structured ``overloaded`` reply while every
+  admitted request stays exact.  Exit code 0 means the whole loop works.
 
 * ``fleet`` — the elastic-fleet smoke: boot an
   :class:`~repro.serve.fleet.ElasticFleet` (replica processes behind one
@@ -59,7 +58,6 @@ import numpy as np
 from repro.serve.distributed.client import (
     PipelinedSession,
     RemoteServerError,
-    RemoteSession,
     parse_endpoint,
 )
 from repro.serve.distributed.executors import EXECUTORS, SessionSpec
@@ -173,7 +171,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--timeout",
         type=float,
         default=120.0,
-        help="per-request socket timeout in seconds (size for the batch)",
+        help="connect timeout and per-request wait bound in seconds (size "
+        "for the batch)",
     )
     infer.add_argument(
         "--deadline",
@@ -182,14 +181,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="per-request dispatch deadline enforced by the server "
         "(a structured 'deadline_exceeded' error once it passes)",
-    )
-    infer.add_argument(
-        "--wire",
-        default="auto",
-        choices=["auto", "json"],
-        help="wire carrier: auto negotiates binary frames with a v3 server "
-        "(falling back to JSON against older ones), json forces the JSON "
-        "carrier",
     )
     infer.add_argument(
         "--retry-attempts",
@@ -211,7 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--timeout",
         type=float,
         default=120.0,
-        help="per-request socket timeout in seconds",
+        help="connect timeout and per-request wait bound in seconds",
     )
     smoke.add_argument(
         "--boot-timeout",
@@ -225,13 +216,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="file the server subprocess logs to (default: a temp file); "
         "smoke dumps it when the check fails",
-    )
-    smoke.add_argument(
-        "--wire",
-        default="auto",
-        choices=["auto", "json"],
-        help="client wire carrier for the smoke drive: auto negotiates "
-        "binary frames, json forces the JSON fallback path",
     )
     smoke.add_argument(
         "--hedge-after",
@@ -453,7 +437,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _client_inference(
-    remote: RemoteSession, args: argparse.Namespace
+    remote: PipelinedSession, args: argparse.Namespace
 ) -> tuple[InferenceRequest, object]:
     workload = load_benchmark_workload(args.workload, scale=args.scale, seed=args.seed)
     n = min(args.samples, len(workload.test_inputs))
@@ -464,19 +448,16 @@ def _client_inference(
     if retry_attempts is not None:
         request = request.with_retry_budget(RetryBudget(retry_attempts))
     deadline_s = getattr(args, "deadline", None)
-    return request, remote.infer(request, deadline_s=deadline_s)
+    response = remote.submit(request, deadline_s=deadline_s).result(args.timeout)
+    return request, response
 
 
 def _cmd_infer(args: argparse.Namespace) -> int:
-    with RemoteSession.connect(
-        args.endpoint, timeout=args.timeout, wire=args.wire
+    with PipelinedSession.connect(
+        args.endpoint, connections=1, timeout=args.timeout
     ) as remote:
-        info = remote.info()
+        info = remote.info(timeout=args.timeout)
         print(f"server    : {info}")
-        print(
-            f"wire      : negotiated protocol v{remote.wire_version} "
-            f"({'binary frames' if remote.wire_version >= 3 else 'JSON lines'})"
-        )
         request, response = _client_inference(remote, args)
         print(f"predictions: {response.predictions.tolist()}")
         print(
@@ -535,8 +516,7 @@ def _connect_to_booting_server(
     address: tuple[str, int],
     boot_timeout: float,
     timeout: float,
-    wire: str = "auto",
-) -> RemoteSession:
+) -> PipelinedSession:
     """Retry-connect while the server boots, failing fast if it dies."""
     deadline = time.monotonic() + boot_timeout
     while True:
@@ -546,11 +526,11 @@ def _connect_to_booting_server(
                 f"accepting connections"
             )
         try:
-            return RemoteSession.connect(
+            return PipelinedSession.connect(
                 address,
+                connections=1,
                 timeout=timeout,
                 wait=min(0.5, max(0.0, deadline - time.monotonic())),
-                wire=wire,
             )
         except OSError:
             if time.monotonic() >= deadline:
@@ -559,12 +539,11 @@ def _connect_to_booting_server(
 
 def _smoke_pipelined_clients(
     address: tuple[str, int],
-    remote: RemoteSession,
+    remote: PipelinedSession,
     request: InferenceRequest,
     timeout: float,
     clients: int = 2,
     rounds: int = 3,
-    wire: str = "auto",
 ) -> None:
     """Two concurrent pipelined clients must match the serial answers exactly.
 
@@ -577,9 +556,12 @@ def _smoke_pipelined_clients(
         labels=request.labels,
         sample_offset=request.batch_size,
     )
-    serial = {0: remote.infer(request), 1: remote.infer(shifted)}
+    serial = {
+        0: remote.submit(request).result(timeout),
+        1: remote.submit(shifted).result(timeout),
+    }
     sessions = [
-        PipelinedSession.connect(address, connections=1, timeout=timeout, wire=wire)
+        PipelinedSession.connect(address, connections=1, timeout=timeout)
         for _ in range(clients)
     ]
     try:
@@ -611,7 +593,7 @@ def _smoke_pipelined_clients(
     finally:
         for session in sessions:
             session.close()
-    stats = remote.info(refresh=True).get("stats", {})
+    stats = remote.info(refresh=True, timeout=timeout).get("stats", {})
     print(
         f"smoke: {len(futures)} pipelined requests over {clients} clients ok "
         f"(server stats: {stats})",
@@ -660,7 +642,7 @@ _SMOKE_REQUIRED_SERIES = (
 )
 
 
-def _smoke_metrics(remote: RemoteSession) -> None:
+def _smoke_metrics(remote: PipelinedSession, timeout: float) -> None:
     """Scrape the metrics op + Prometheus endpoint; both must agree.
 
     The server was booted with ``--metrics-port 0``, so ``info`` carries
@@ -669,10 +651,10 @@ def _smoke_metrics(remote: RemoteSession) -> None:
     the wire op's rendered text must equal an HTTP scrape of the same
     snapshot (they are the same registry by construction).
     """
-    info = remote.info(refresh=True)
+    info = remote.info(refresh=True, timeout=timeout)
     endpoint = info.get("metrics_endpoint")
     assert endpoint, f"server info lacks the metrics endpoint: {info}"
-    payload = remote.metrics()
+    payload = remote.metrics(timeout=timeout)
     assert payload["schema_version"] == 1, f"unexpected metrics schema: {payload}"
     text = payload["text"]
     for series in _SMOKE_REQUIRED_SERIES:
@@ -699,7 +681,7 @@ def _smoke_metrics(remote: RemoteSession) -> None:
         assert series in scraped, f"Prometheus endpoint lacks {series}"
     # Counters may advance between the two reads; re-render via the op and
     # compare against a fresh scrape taken while the server is idle.
-    fresh = remote.metrics()
+    fresh = remote.metrics(timeout=timeout)
     scraped = (
         urllib.request.urlopen(f"http://{endpoint}/metrics", timeout=30)
         .read()
@@ -738,12 +720,11 @@ def _smoke_load_shedding(args: argparse.Namespace) -> None:
     serial = session()
     expected_head, expected_queued = serial.infer(head), serial.infer(queued)
     gate = _GatedTarget(session())
-    wire = getattr(args, "wire", "auto")
     with ChipServer(
         gate, port=0, workload=args.workload, max_queue=1
     ).start() as server:
         with PipelinedSession.connect(
-            server.address, connections=1, timeout=args.timeout, wire=wire
+            server.address, connections=1, timeout=args.timeout
         ) as client:
             info = client.info()
             print(
@@ -886,15 +867,10 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
         try:
             address = _wait_for_listening_line(proc, log_path, args.boot_timeout)
             with _connect_to_booting_server(
-                proc, address, args.boot_timeout, args.timeout, args.wire
+                proc, address, args.boot_timeout, args.timeout
             ) as remote:
-                assert remote.ping(), "server did not answer ping"
-                expected_wire = 3 if args.wire == "auto" else 2
-                assert remote.wire_version == expected_wire, (
-                    f"--wire {args.wire} should negotiate protocol "
-                    f"v{expected_wire}, got v{remote.wire_version}"
-                )
-                info = remote.info()
+                assert remote.ping(timeout=args.timeout), "server did not answer ping"
+                info = remote.info(timeout=args.timeout)
                 assert info["workload"] == args.workload, f"wrong workload: {info}"
                 assert info["replica_id"], f"server info lacks a replica id: {info}"
                 assert info["state"] == "serving", f"unexpected server state: {info}"
@@ -908,15 +884,14 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
                     flush=True,
                 )
                 print(
-                    f"smoke: server protocol v{info['protocol_version']}, "
-                    f"negotiated wire v{remote.wire_version} "
-                    f"({'binary frames' if remote.wire_version >= 3 else 'JSON lines'}), "
+                    f"smoke: server protocol v{info['protocol_version']} "
+                    f"(binary frames), "
                     f"started at {info['started_at']:.0f} "
                     f"(uptime {info['uptime_s']:.2f}s)",
                     flush=True,
                 )
                 request, first = _client_inference(remote, args)
-                again = remote.infer(request)
+                again = remote.submit(request).result(args.timeout)
                 assert first.batch_size == request.batch_size
                 assert len(first.predictions) == request.batch_size
                 assert first.energy.total_j > 0, "served response carries no energy"
@@ -931,10 +906,8 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
                     f"deterministic round trip ok",
                     flush=True,
                 )
-                _smoke_pipelined_clients(
-                    address, remote, request, args.timeout, wire=args.wire
-                )
-                _smoke_metrics(remote)
+                _smoke_pipelined_clients(address, remote, request, args.timeout)
+                _smoke_metrics(remote, args.timeout)
                 remote.shutdown_server()
             returncode = proc.wait(timeout=30)
             assert returncode == 0, f"server exited with {returncode}"

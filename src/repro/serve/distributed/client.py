@@ -1,50 +1,34 @@
-"""Remote chip clients: the ``ChipSession`` surface over a socket.
+"""Remote chip client: the ``ChipSession`` surface over a socket.
 
-Two client shapes speak the chip server's wire protocol (see
-:mod:`repro.serve.schema` for the envelope and the binary frame):
+:class:`PipelinedSession` speaks the chip server's wire protocol (see
+:mod:`repro.serve.schema` for the envelope and the binary frame) over a
+small pool of connections, each carrying many tagged requests in flight at
+once.  :meth:`PipelinedSession.submit` returns a
+:class:`concurrent.futures.Future` immediately, so callers overlap network
+and compute (and give the server's dynamic batcher something to coalesce);
+the blocking :meth:`PipelinedSession.infer` /
+:meth:`PipelinedSession.infer_many` adapters sit on top, and
+``connections=1`` with one request at a time is the lock-step shape.
 
-* :class:`RemoteSession` — one connection, strict request/reply, the same
-  ``infer(InferenceRequest) -> InferenceResponse`` contract as a local
-  :class:`~repro.serve.ChipSession`.  Idempotent ops (``ping`` / ``info`` /
-  ``infer`` — inference is a pure function of the request) transparently
-  reconnect and retry once when the server restarts under the session.
-* :class:`PipelinedSession` — the async/pipelined mode: a small pool of
-  connections, each carrying many tagged requests in flight at once.
-  :meth:`PipelinedSession.submit` returns a
-  :class:`concurrent.futures.Future` immediately, so callers overlap
-  network and compute (and give the server's dynamic batcher something to
-  coalesce); the blocking :meth:`PipelinedSession.infer` /
-  :meth:`PipelinedSession.infer_many` adapters sit on top.
-
-Both clients negotiate the wire carrier on connect: a version-less JSON
-ping reveals the server's protocol version (every reply envelope carries
-``"v"``), and a peer speaking protocol 3 switches the connection to binary
-frames — raw little-endian array payloads instead of number-by-number JSON
-text.  Older servers keep getting newline-delimited JSON unchanged, and
-``wire="json"`` forces the fallback explicitly.  Reconnects renegotiate, so
-a server upgraded (or downgraded) under a live session is picked up on the
-next retry.
-
-Both clients are drop-in gateway endpoints (they expose ``capacity`` /
-``backend`` / ``timesteps`` from the server's ``info``), and both return
-responses bit-identical to a local run — the wire round trip is lossless.
+Every message is a protocol-3 binary frame from the first byte of a
+connection, with the arrays as raw little-endian payloads.  The client is
+a drop-in gateway endpoint (it exposes ``capacity`` / ``backend`` /
+``timesteps`` from the server's ``info``) and returns responses
+bit-identical to a local run — the wire round trip is lossless.
 """
 
 from __future__ import annotations
 
 import contextlib
 import itertools
-import json
 import socket
 import threading
 import time
 from concurrent.futures import Future, InvalidStateError
 
-from repro.serve.retry import RetryBudget, RetryBudgetExhausted, retry_backoff
+from repro.serve.retry import RetryBudget
 from repro.serve.schema import (
     FRAME_HEADER_SIZE,
-    FRAME_MAGIC,
-    PROTOCOL_VERSION,
     InferenceRequest,
     InferenceResponse,
     decode_frame_payload,
@@ -57,7 +41,6 @@ __all__ = [
     "CancellableFuture",
     "PipelinedSession",
     "RemoteServerError",
-    "RemoteSession",
     "parse_endpoint",
     "split_endpoints",
 ]
@@ -150,76 +133,16 @@ def _connect_with_wait(factory, wait: float):
             time.sleep(0.05)
 
 
-# -- wire carrier negotiation -------------------------------------------------------
+def _encode_message(message: dict[str, object]) -> bytes:
+    """Serialise one request envelope to its wire frame.
 
-#: Envelopes from this protocol version up ride the binary frame carrier.
-_BINARY_MIN_VERSION = 3
-
-#: Highest version a ``wire="json"`` client declares (keeps the connection
-#: on the JSON carrier even against a frame-capable server).
-_JSON_MAX_VERSION = 2
-
-#: Reconnect backoff: retry *n* sleeps about ``base * 2**n`` seconds,
-#: jittered, so clients of a restarting server spread out instead of
-#: hammering the listen queue in lockstep.  Kept as a module-level name so
-#: tests (and operators) can patch the client's backoff in isolation; the
-#: policy itself is the stack-wide helper in :mod:`repro.serve.retry`.
-_retry_backoff = retry_backoff
-
-
-def _negotiated_version(peer_version: int, wire: str) -> int:
-    """The envelope version this client declares to a ``peer_version`` server."""
-    cap = PROTOCOL_VERSION if wire == "auto" else _JSON_MAX_VERSION
-    return max(1, min(cap, peer_version))
-
-
-def _handshake(file) -> int:
-    """Discover the peer's protocol version over a fresh connection.
-
-    Sends a version-less JSON ping — the one envelope every server
-    generation accepts (a missing ``"v"`` reads as version 1) — and returns
-    the ``"v"`` stamped on the reply.  Even an error reply carries the
-    peer's version, so negotiation works against servers that reject the
-    ping itself.
+    ``message["request"]`` may hold a live :class:`InferenceRequest`; its
+    arrays ship raw through :meth:`InferenceRequest.to_wire_dict`.
     """
-    file.write(json.dumps({"op": "ping"}).encode("utf-8") + b"\n")
-    file.flush()
-    line = file.readline()
-    if not line:
-        raise ConnectionError(
-            "server closed the connection during version negotiation"
-        )
-    try:
-        reply = json.loads(line.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise ConnectionError(
-            f"unparseable version-negotiation reply: {exc}"
-        ) from None
-    version = reply.get("v", 1) if isinstance(reply, dict) else 1
-    return version if isinstance(version, int) and version >= 1 else 1
-
-
-def _encode_message(
-    message: dict[str, object], version: int, *, buffer: bytearray | None = None
-):
-    """Serialise one request envelope for the negotiated carrier.
-
-    ``message["request"]`` may hold a live :class:`InferenceRequest`: it is
-    serialised here, per wire attempt, because only the connection knows
-    which carrier (and therefore which array codec) is in force — and a
-    retry may land on a renegotiated connection speaking the other one.
-    """
-    payload = dict(message)
-    payload["v"] = version
-    binary = version >= _BINARY_MIN_VERSION
-    request = payload.get("request")
+    request = message.get("request")
     if isinstance(request, InferenceRequest):
-        payload["request"] = (
-            request.to_wire_dict() if binary else request.to_dict()
-        )
-    if binary:
-        return encode_frame(payload, buffer=buffer)
-    return json.dumps(payload).encode("utf-8") + b"\n"
+        message = {**message, "request": request.to_wire_dict()}
+    return encode_frame(message)
 
 
 def _read_exact(file, count: int) -> bytes:
@@ -229,14 +152,18 @@ def _read_exact(file, count: int) -> bytes:
     return data
 
 
-def _read_frame_reply(file, first: bytes = b"") -> dict[str, object]:
-    """Read one reply frame from a blocking file (``first`` = peeked bytes).
+def _read_frame_reply(file) -> dict[str, object] | None:
+    """Read one reply frame from a blocking file (``None`` on a clean EOF).
 
     Frame-level corruption surfaces as :class:`ConnectionError`: the byte
     stream cannot be resynchronised, so the caller must drop the connection
     (and, for idempotent ops, retry on a fresh one).
     """
-    header = first + _read_exact(file, FRAME_HEADER_SIZE - len(first))
+    header = file.read(FRAME_HEADER_SIZE)
+    if not header:
+        return None
+    if len(header) < FRAME_HEADER_SIZE:
+        raise ConnectionError("server closed the connection mid-frame")
     try:
         meta_len, payload_len = parse_frame_header(header)
     except ValueError as exc:
@@ -249,308 +176,17 @@ def _read_frame_reply(file, first: bytes = b"") -> dict[str, object]:
         raise ConnectionError(f"corrupt reply frame: {exc}") from None
 
 
-class RemoteSession:
-    """A chip session served by a remote :class:`ChipServer`.
-
-    Parameters
-    ----------
-    host, port:
-        Server address.
-    timeout:
-        Per-request socket timeout in seconds (inference on a large batch is
-        slow; size accordingly).
-    retries:
-        Reconnect-and-resend attempts for idempotent ops after a connection
-        failure (a server restart leaves the session holding a dead socket;
-        one retry rides out a reboot).  ``0`` disables the resilience.
-        Retries back off with jitter so a rebooting server is not hammered.
-    wire:
-        ``"auto"`` (default) negotiates the binary frame carrier with a
-        protocol-3 server and falls back to JSON against older ones;
-        ``"json"`` forces the JSON carrier regardless of what the server
-        speaks.
-
-    The session holds one persistent connection; requests are serialised on
-    it (one message out, one message in).  Use one ``RemoteSession`` per
-    thread — or :class:`PipelinedSession` — for concurrent callers.
-    """
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        *,
-        timeout: float = 120.0,
-        retries: int = 1,
-        wire: str = "auto",
-    ):
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
-        if wire not in ("auto", "json"):
-            raise ValueError(f"wire must be 'auto' or 'json', got {wire!r}")
-        self.host = host
-        self.port = port
-        self.timeout = timeout
-        self.retries = retries
-        self.wire = wire
-        self._socket: socket.socket | None = None
-        self._file = None
-        self._ids = itertools.count(1)
-        self._info: dict[str, object] | None = None
-        self._closed = False
-        self._peer_version = 1
-        # Reused across binary encodes: the socket write completes before
-        # the next request is serialised, so one buffer serves the session.
-        self._encode_buffer = bytearray()
-        self._connect()
-
-    @classmethod
-    def connect(
-        cls,
-        endpoint: str | tuple[str, int],
-        *,
-        timeout: float = 120.0,
-        retries: int = 1,
-        wait: float = 0.0,
-        wire: str = "auto",
-    ) -> "RemoteSession":
-        """Connect to ``"host:port"`` (or a ``(host, port)`` tuple).
-
-        ``wait`` keeps retrying for up to that many seconds while the server
-        boots (0 means a single attempt).
-        """
-        host, port = (
-            parse_endpoint(endpoint) if isinstance(endpoint, str) else endpoint
-        )
-        return _connect_with_wait(
-            lambda: cls(host, port, timeout=timeout, retries=retries, wire=wire),
-            wait,
-        )
-
-    # -- connection management ----------------------------------------------------
-
-    @property
-    def wire_version(self) -> int:
-        """Envelope version negotiated on the current connection."""
-        return _negotiated_version(self._peer_version, self.wire)
-
-    def _connect(self) -> None:
-        self._socket = socket.create_connection(
-            (self.host, self.port), timeout=self.timeout
-        )
-        self._file = self._socket.makefile("rwb")
-        try:
-            # Every (re)connect renegotiates: the server behind the address
-            # may have been upgraded or downgraded since the last attempt.
-            self._peer_version = _handshake(self._file)
-        except (ConnectionError, OSError):
-            self._drop_connection()
-            raise
-
-    def _drop_connection(self) -> None:
-        file, sock = self._file, self._socket
-        self._file = self._socket = None
-        try:
-            if file is not None:
-                file.close()
-        except OSError:
-            pass
-        finally:
-            if sock is not None:
-                sock.close()
-
-    # -- protocol -----------------------------------------------------------------
-
-    def _call(
-        self, message: dict[str, object], *, idempotent: bool = True
-    ) -> dict[str, object]:
-        """One request/reply round trip, reconnecting on a dead connection.
-
-        Idempotent ops are resent once per configured retry after a
-        connection-level failure (server restart, dead socket); a
-        :class:`RemoteServerError` is a *successful* round trip and is never
-        retried.  When the message carries an :class:`InferenceRequest` with
-        a :class:`RetryBudget`, that budget overrides the session's
-        ``retries`` knob: reconnect resends consume from the request's
-        shared pool and exhaustion raises :class:`RetryBudgetExhausted`.
-        """
-        if self._closed:
-            raise RuntimeError("remote session is closed")
-        budget: RetryBudget | None = None
-        carried = message.get("request")
-        if idempotent and isinstance(carried, InferenceRequest):
-            budget = carried.retry_budget
-        attempts = 1 + (self.retries if idempotent else 0)
-        last_error: Exception | None = None
-        attempt = 0
-        while True:
-            try:
-                if self._file is None:
-                    self._connect()
-                request_id = next(self._ids)
-                payload = dict(message)
-                payload["id"] = request_id
-                version = self.wire_version
-                binary = version >= _BINARY_MIN_VERSION
-                self._file.write(
-                    _encode_message(payload, version, buffer=self._encode_buffer)
-                )
-                self._file.flush()
-                # The reply mirrors the request's carrier, so the read side
-                # is deterministic: frame out means frame back.
-                if binary:
-                    reply = _read_frame_reply(self._file)
-                else:
-                    line = self._file.readline()
-                    if not line:
-                        raise ConnectionError(
-                            f"chip server at {self.host}:{self.port} closed "
-                            f"the connection"
-                        )
-                    reply = json.loads(line.decode("utf-8"))
-                if reply.get("id") not in (None, request_id):
-                    raise ConnectionError(
-                        f"chip server at {self.host}:{self.port} answered request "
-                        f"{request_id} with id {reply.get('id')!r} (desynchronised "
-                        f"connection)"
-                    )
-                if not reply.get("ok"):
-                    raise _error_from_reply(reply)
-                return reply
-            except TimeoutError:
-                # A slow server is not a dead one: resending would duplicate
-                # the work and mask the real problem.  The connection is
-                # desynchronised (the late reply is still coming), so drop
-                # it, but surface the timeout as-is.
-                self._drop_connection()
-                raise
-            except (ConnectionError, OSError) as exc:
-                self._drop_connection()
-                last_error = exc
-                if budget is not None:
-                    consumed = budget.try_consume()
-                    if consumed is None:
-                        raise budget.exhausted(exc)
-                    time.sleep(budget.backoff_s(consumed))
-                elif attempt + 1 < attempts:
-                    # A restarting server needs a beat to come back; an
-                    # immediate resend just hammers the dead port and burns
-                    # the retry budget inside the boot window.
-                    time.sleep(_retry_backoff(attempt))
-                else:
-                    break
-                attempt += 1
-        assert last_error is not None
-        raise ConnectionError(
-            f"chip server at {self.host}:{self.port} unreachable after "
-            f"{attempts} attempt(s): {last_error}"
-        ) from last_error
-
-    # -- the session surface ------------------------------------------------------
-
-    def ping(self) -> bool:
-        """Round-trip a no-op message."""
-        return bool(self._call(request_envelope("ping")).get("pong"))
-
-    def info(self, refresh: bool = False) -> dict[str, object]:
-        """Server metadata: workload, backend, timesteps, jobs, capacity."""
-        if self._info is None or refresh:
-            self._info = dict(self._call(request_envelope("info"))["info"])
-        return self._info
-
-    @property
-    def capacity(self) -> int:
-        """Worker count of the remote pool (gateway sharding weight)."""
-        return int(self.info().get("capacity", 1))
-
-    @property
-    def backend(self) -> str:
-        """Execution backend of the remote chip."""
-        return str(self.info().get("backend", "unknown"))
-
-    @property
-    def timesteps(self) -> int:
-        """Default rate-coding window of the remote session."""
-        return int(self.info().get("timesteps", 0))
-
-    def infer(
-        self, request: InferenceRequest, *, deadline_s: float | None = None
-    ) -> InferenceResponse:
-        """Run one batch on the remote chip (same contract as ChipSession).
-
-        ``deadline_s`` rides the envelope to the server, which sheds the
-        request with a structured ``deadline_exceeded`` error if that much
-        time passes before dispatch (see :class:`RemoteServerError.code`).
-        """
-        # The live request rides the envelope; _call serialises it with the
-        # codec of whichever carrier the (possibly reconnected) connection
-        # negotiated.
-        fields: dict[str, object] = {"request": request}
-        if deadline_s is not None:
-            fields["deadline_s"] = float(deadline_s)
-        reply = self._call(request_envelope("infer", **fields))
-        return InferenceResponse.from_dict(reply["response"])
-
-    def metrics(self) -> dict[str, object]:
-        """Scrape the server's metrics registry (``metrics`` op).
-
-        Returns the structured payload: a JSON-safe registry ``snapshot``
-        plus the same data rendered as Prometheus ``text`` — identical to
-        what the server's HTTP exposition endpoint serves.
-        """
-        return dict(self._call(request_envelope("metrics"))["metrics"])
-
-    def drain_server(self) -> dict[str, object]:
-        """Retire the server gracefully (idempotent ``drain`` op).
-
-        The server stops admitting new ``infer`` requests (they answer a
-        structured ``draining`` error), finishes and delivers everything
-        already admitted, then exits its serving loop.
-        """
-        return self._call(request_envelope("drain"), idempotent=False)
-
-    def shutdown_server(self) -> None:
-        """Ask the server process to stop serving (clean remote teardown).
-
-        Never retried: a connection that drops after the send most likely
-        means the shutdown worked.
-        """
-        self._call(request_envelope("shutdown"), idempotent=False)
-
-    def close(self) -> None:
-        """Close the connection (idempotent)."""
-        self._closed = True
-        self._drop_connection()
-
-    def __enter__(self) -> "RemoteSession":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
 # -- pipelined client ---------------------------------------------------------------
 
 
 class _PipelinedConnection:
     """One socket carrying many tagged requests; a reader thread routes replies."""
 
-    def __init__(self, host: str, port: int, timeout: float, wire: str = "auto"):
+    def __init__(self, host: str, port: int, timeout: float):
         self.host = host
         self.port = port
         self._socket = socket.create_connection((host, port), timeout=timeout)
         self._file = self._socket.makefile("rwb")
-        try:
-            # Negotiate while the establishment timeout still governs the
-            # socket: a wedged server fails the constructor instead of
-            # hanging a pool slot forever.
-            self.peer_version = _handshake(self._file)
-        except (ConnectionError, OSError):
-            with contextlib.suppress(OSError):
-                self._file.close()
-            self._socket.close()
-            raise
-        self.wire_version = _negotiated_version(self.peer_version, wire)
         # The timeout above governs connection establishment only.  The
         # reader must block indefinitely between replies: a pipelined
         # connection is legitimately idle for long stretches, and a read
@@ -580,7 +216,7 @@ class _PipelinedConnection:
         # Serialise outside the lock — encoding a megabyte batch must not
         # stall other senders.  No shared encode buffer here: several
         # threads may be in this section at once.
-        data = _encode_message(message, self.wire_version)
+        data = _encode_message(message)
         with self._lock:
             if self._dead:
                 raise ConnectionError(
@@ -598,21 +234,7 @@ class _PipelinedConnection:
 
     def _read_loop(self) -> None:
         try:
-            while True:
-                # Peek the carrier byte: replies mirror their request's
-                # carrier, so a negotiated-binary connection reads frames —
-                # but the magic byte is checked per reply rather than
-                # assumed, keeping the reader honest about desyncs.
-                first = self._file.read(1)
-                if not first:
-                    break
-                if first == FRAME_MAGIC[:1]:
-                    reply = _read_frame_reply(self._file, first)
-                else:
-                    line = first + self._file.readline()
-                    if not line.strip():
-                        continue
-                    reply = json.loads(line.decode("utf-8"))
+            while (reply := _read_frame_reply(self._file)) is not None:
                 with self._lock:
                     future = self._pending.pop(reply.get("id"), None)
                 if future is None:
@@ -624,7 +246,7 @@ class _PipelinedConnection:
                         future.set_result(reply)
                     else:
                         future.set_exception(_error_from_reply(reply))
-        except (OSError, ValueError):
+        except (OSError, ValueError):  # ValueError: file closed under us
             pass
         finally:
             self._fail_pending(
@@ -656,7 +278,7 @@ class _PipelinedConnection:
         with self._lock:
             self._dead = True
         # Unblock the reader first: closing the buffered file while the
-        # reader thread sits in readline() would deadlock on the buffer's
+        # reader thread sits in read() would deadlock on the buffer's
         # internal lock until the socket timeout.  shutdown() delivers EOF.
         try:
             self._socket.shutdown(socket.SHUT_RDWR)
@@ -716,11 +338,8 @@ class PipelinedSession:
         Connection-establishment timeout in seconds.  Established
         connections wait indefinitely for replies (they are legitimately
         idle between batches); put per-request deadlines on
-        ``future.result(timeout=...)``.
-    wire:
-        ``"auto"`` (default) negotiates the binary frame carrier per
-        connection and falls back to JSON against pre-v3 servers;
-        ``"json"`` forces the JSON carrier.
+        ``future.result(timeout=...)`` or the ``timeout=`` of the op
+        methods (``ping`` / ``info`` / ``metrics`` / ``drain_server``).
 
     :meth:`submit` returns a :class:`CancellableFuture` resolving to the
     :class:`InferenceResponse` — cancelling it also sends a ``cancel`` op so
@@ -740,23 +359,19 @@ class PipelinedSession:
         *,
         connections: int = 2,
         timeout: float = 120.0,
-        wire: str = "auto",
     ):
         if connections < 1:
             raise ValueError(f"connections must be >= 1, got {connections}")
-        if wire not in ("auto", "json"):
-            raise ValueError(f"wire must be 'auto' or 'json', got {wire!r}")
         self.host = host
         self.port = port
         self.timeout = timeout
-        self.wire = wire
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
         self._info: dict[str, object] | None = None
         self._closed = False
-        # Fail fast like RemoteSession: the first connection opens eagerly.
+        # Fail fast: the first connection opens eagerly.
         self._connections: list[_PipelinedConnection | None] = [
-            _PipelinedConnection(host, port, timeout, wire)
+            _PipelinedConnection(host, port, timeout)
         ] + [None] * (connections - 1)
 
     @classmethod
@@ -767,31 +382,17 @@ class PipelinedSession:
         connections: int = 2,
         timeout: float = 120.0,
         wait: float = 0.0,
-        wire: str = "auto",
     ) -> "PipelinedSession":
         """Connect to ``"host:port"`` (or a tuple), waiting out a server boot."""
         host, port = (
             parse_endpoint(endpoint) if isinstance(endpoint, str) else endpoint
         )
         return _connect_with_wait(
-            lambda: cls(
-                host, port, connections=connections, timeout=timeout, wire=wire
-            ),
+            lambda: cls(host, port, connections=connections, timeout=timeout),
             wait,
         )
 
     # -- connection pool ----------------------------------------------------------
-
-    @property
-    def wire_version(self) -> int:
-        """Envelope version negotiated on the live connections (max seen)."""
-        with self._lock:
-            versions = [
-                connection.wire_version
-                for connection in self._connections
-                if connection is not None and not connection.dead
-            ]
-        return max(versions, default=_negotiated_version(1, self.wire))
 
     def _pick_connection(self) -> _PipelinedConnection:
         """The least-loaded live connection, (re)opening slots as needed."""
@@ -820,7 +421,7 @@ class PipelinedSession:
         # but connect OUTSIDE the session lock: establishment can block for
         # the whole timeout and must not stall submits that could ride the
         # healthy connections.
-        fresh = _PipelinedConnection(self.host, self.port, self.timeout, self.wire)
+        fresh = _PipelinedConnection(self.host, self.port, self.timeout)
         with self._lock:
             if self._closed:
                 fresh.close()
@@ -911,7 +512,7 @@ class PipelinedSession:
                 # a fresh one within the request's retry budget.
                 self._retry_later(op, fields, outer, sent, budget, exc)
             elif isinstance(exc, ConnectionError) and retries_left > 0:
-                # Legacy single resend (idempotent ops only reach this path).
+                # Unbudgeted single resend (idempotent ops only reach this path).
                 try:
                     self._attempt(op, fields, outer, retries_left - 1, sent=sent)
                 except Exception as retry_exc:  # noqa: BLE001 - into the future
@@ -958,8 +559,8 @@ class PipelinedSession:
         the still-queued work rather than computing an orphaned answer.
         """
         outer = CancellableFuture()
-        # The live request rides the fields; each connection's send()
-        # serialises it with the codec of its own negotiated carrier.
+        # The live request rides the fields; the connection's send()
+        # serialises it outside its lock.
         fields: dict[str, object] = {"request": request}
         if deadline_s is not None:
             fields["deadline_s"] = float(deadline_s)

@@ -3,7 +3,6 @@
 :class:`InferenceGateway` fans one request batch out across several
 endpoints — local :class:`~repro.serve.ChipSession`\\ s and
 :class:`~repro.serve.ChipPool`\\ s, remote
-:class:`~repro.serve.distributed.client.RemoteSession`\\ s /
 :class:`~repro.serve.distributed.client.PipelinedSession`\\ s, anything with
 the ``infer`` contract — and merges the shard responses into one exact
 result.
@@ -137,7 +136,7 @@ class GatewayEndpoint:
     """One inference target behind the gateway, with its sharding weight.
 
     ``capacity`` defaults to the target's own ``capacity`` attribute (a
-    :class:`RemoteSession` reports its server's worker count), then to its
+    :class:`PipelinedSession` reports its server's worker count), then to its
     ``jobs`` attribute (a local pool), then to 1.  An explicit capacity must
     be positive — a zero-capacity endpoint could never receive a shard.
 
@@ -914,9 +913,7 @@ class InferenceGateway:
 
         Two duck-typed sources, both optional: a ``load()`` method on the
         target (a local-state read), else a thread-safe ``info`` poll (only
-        pipelined remotes expose both ``submit`` and ``info`` — a plain
-        :class:`RemoteSession` serialises its one connection, so probing it
-        concurrently with an in-flight shard would corrupt the framing).
+        pipelined remotes expose both ``submit`` and ``info``).
         The info poll is bounded by :data:`LOAD_POLL_TIMEOUT_S` so one
         wedged endpoint cannot starve its siblings' refresh.  Poll failures
         (including timeouts) keep the previous hint: a dying endpoint's

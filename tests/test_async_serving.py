@@ -5,22 +5,21 @@ Four seams of the PR-4 refactor, each held to the established parity bar
 returns — parallelism, pipelining and coalescing may change throughput,
 never numbers):
 
-* the **wire protocol**: version-2 envelopes with request ids allow several
-  requests in flight per connection, while untagged version-1 lines keep
-  their strict in-order replies;
+* the **wire protocol**: tagged frames allow several requests in flight per
+  connection, replies matched by request id;
 * the **pool's** :meth:`~repro.serve.ChipPool.infer_many` dynamic-batching
   seam: many requests coalesce into one executor dispatch and split back
   per request, exactly;
 * the **server's** cross-client dynamic batcher, driven through gate
   targets so coalescing is deterministic rather than timing-dependent;
-* **client/gateway resilience**: reconnect-and-retry across a server
-  restart, non-blocking gateway dispatch, and failure surfacing instead of
-  a hung merge.
+* **client/gateway resilience**: resubmission across a server restart,
+  non-blocking gateway dispatch, and failure surfacing instead of a hung
+  merge.
 """
 
 from __future__ import annotations
 
-import json
+import contextlib
 import re
 import socket
 import threading
@@ -39,7 +38,6 @@ from repro.serve.distributed import (
     InferenceGateway,
     PipelinedSession,
     RemoteServerError,
-    RemoteSession,
     parse_endpoint,
 )
 from repro.serve.schema import (
@@ -121,22 +119,17 @@ class TestWireProtocol:
             yield server
 
     def test_tagged_requests_pipeline_on_one_connection(
-        self, served_session, workload, single_session
+        self, served_session, workload, single_session, raw_frames
     ):
         _, _, inputs, _ = workload
         first = InferenceRequest(inputs=inputs[:4])
         second = InferenceRequest(inputs=inputs[4:9], sample_offset=4)
-        with socket.create_connection(served_session.address, timeout=30) as raw:
-            stream = raw.makefile("rwb")
-            # Both requests go out before either reply is read: the server
-            # must accept the pipelined lines and tag each reply with its id.
-            for request_id, request in [("a", first), ("b", second)]:
-                line = request_envelope(
-                    "infer", request_id=request_id, request=request.to_dict()
-                )
-                stream.write(json.dumps(line).encode() + b"\n")
-            stream.flush()
-            replies = [json.loads(stream.readline()) for _ in range(2)]
+        raw = raw_frames(served_session.address)
+        # Both requests go out before either reply is read: the server must
+        # accept the pipelined frames and tag each reply with its id.
+        for request_id, request in [("a", first), ("b", second)]:
+            raw.send("infer", request_id=request_id, request=request)
+        replies = [raw.read() for _ in range(2)]
         by_id = {reply["id"]: reply for reply in replies}
         assert set(by_id) == {"a", "b"}
         for reply in replies:
@@ -152,41 +145,35 @@ class TestWireProtocol:
         )
         np.testing.assert_array_equal(expected.predictions, merged)
 
-    def test_untagged_v1_lines_still_answered_in_order(self, served_session):
-        with socket.create_connection(served_session.address, timeout=30) as raw:
-            stream = raw.makefile("rwb")
-            stream.write(b'{"op": "ping"}\n{"op": "info"}\n')
-            stream.flush()
-            ping = json.loads(stream.readline())
-            info = json.loads(stream.readline())
-        assert ping["ok"] is True and ping["pong"] is True
-        assert "id" not in ping
-        assert info["ok"] is True
-        assert info["info"]["workload"] == "wire-test"
-        assert info["info"]["protocol_version"] == PROTOCOL_VERSION
-
-    def test_unsupported_protocol_version_rejected(self, served_session):
-        with socket.create_connection(served_session.address, timeout=30) as raw:
-            stream = raw.makefile("rwb")
-            stream.write(b'{"v": 99, "op": "ping", "id": 1}\n')
-            stream.flush()
-            reply = json.loads(stream.readline())
+    def test_unsupported_protocol_version_rejected(self, served_session, raw_frames):
+        raw = raw_frames(served_session.address)
+        raw.send_envelope({"v": 99, "op": "ping", "id": 1})
+        reply = raw.read()
         assert reply["ok"] is False
         assert "unsupported protocol version" in reply["error"]
         # The error reply must stay routable: a pipelined client matches
         # replies by id, and the bad line still carried one.
         assert reply["id"] == 1
         assert reply["reply"] == "ping"
+        # The frame was well-delimited: the connection keeps serving.
+        raw.send("info", request_id=2)
+        info = raw.read()
+        assert info["ok"] is True and info["id"] == 2
+        assert info["info"]["workload"] == "wire-test"
+        assert info["info"]["protocol_version"] == PROTOCOL_VERSION
 
-    def test_large_request_lines_cross_the_wire(self, served_session, single_session):
-        # A production batch serialises to hundreds of kilobytes per line —
-        # far past the stdlib stream default of 64 KiB.  Regression test for
-        # the server's raised line limit.
+    def test_large_request_frames_cross_the_wire(self, served_session, single_session):
+        # A production batch serialises to hundreds of kilobytes per frame —
+        # past the stdlib stream buffer of 64 KiB and the server's inline
+        # decode threshold, so the payload is read in pieces and decoded
+        # off the event loop.
         rng = np.random.default_rng(4)
         request = InferenceRequest(inputs=rng.random((600, 48)))
         expected = single_session.infer(request)
-        with RemoteSession.connect(served_session.address, timeout=60) as remote:
-            response = remote.infer(request)
+        with PipelinedSession.connect(
+            served_session.address, connections=1, timeout=60
+        ) as remote:
+            response = remote.submit(request).result(timeout=60)
         np.testing.assert_array_equal(expected.predictions, response.predictions)
         np.testing.assert_array_equal(expected.spike_counts, response.spike_counts)
 
@@ -747,38 +734,29 @@ class TestLoadControl:
         assert final["stats"]["requests"] == 1
         assert gate.dispatches == [1], "cancelled request was still dispatched"
 
-    def test_cancel_yields_structured_cancelled_reply_on_the_wire(self, workload):
+    def test_cancel_yields_structured_cancelled_reply_on_the_wire(
+        self, workload, raw_frames
+    ):
         # The raw protocol view of cancellation: the cancelled infer's reply
         # is a structured error carrying code "cancelled" (not a dropped
-        # line), and the cancel op acknowledges with cancelled=true.
+        # frame), and the cancel op acknowledges with cancelled=true.
         _, _, inputs, _ = workload
         gate = _GateTarget(_fresh_session(workload))
         head = InferenceRequest(inputs=inputs[:2])
         queued = InferenceRequest(inputs=inputs[2:4], sample_offset=2)
         with ChipServer(gate, port=0, workload="cancel-wire").start() as server:
-            with socket.create_connection(server.address, timeout=30) as raw:
-                stream = raw.makefile("rwb")
-
-                def send(envelope):
-                    stream.write(json.dumps(envelope).encode() + b"\n")
-                    stream.flush()
-
-                send(request_envelope("infer", request_id="a", request=head.to_dict()))
-                assert gate.entered.wait(timeout=10), "head dispatch never ran"
-                send(
-                    request_envelope("infer", request_id="b", request=queued.to_dict())
-                )
-                deadline = time.monotonic() + 10
-                while server._backlog < 1:  # noqa: SLF001 - in-process observation
-                    assert time.monotonic() < deadline, "request b never queued"
-                    time.sleep(0.005)
-                send(request_envelope("cancel", request_id="c", target="b"))
-                replies = {
-                    reply["id"]: reply
-                    for reply in (json.loads(stream.readline()) for _ in range(2))
-                }
-                gate.release.set()
-                final = json.loads(stream.readline())
+            raw = raw_frames(server.address)
+            raw.send("infer", request_id="a", request=head)
+            assert gate.entered.wait(timeout=10), "head dispatch never ran"
+            raw.send("infer", request_id="b", request=queued)
+            deadline = time.monotonic() + 10
+            while server._backlog < 1:  # noqa: SLF001 - in-process observation
+                assert time.monotonic() < deadline, "request b never queued"
+                time.sleep(0.005)
+            raw.send("cancel", request_id="c", target="b")
+            replies = {reply["id"]: reply for reply in (raw.read() for _ in range(2))}
+            gate.release.set()
+            final = raw.read()
         assert set(replies) == {"b", "c"}
         assert replies["c"]["ok"] is True and replies["c"]["cancelled"] is True
         assert replies["b"]["ok"] is False
@@ -787,7 +765,7 @@ class TestLoadControl:
         assert final["id"] == "a" and final["ok"] is True
 
     def test_cancel_after_dispatch_reports_false_and_delivers_result(
-        self, workload, single_session
+        self, workload, single_session, raw_frames
     ):
         # Dispatch wins: once a request is on the work thread, cancel must
         # report false, the computed result must still be delivered, and
@@ -796,27 +774,14 @@ class TestLoadControl:
         gate = _GateTarget(_fresh_session(workload))
         head = InferenceRequest(inputs=inputs[:2])
         with ChipServer(gate, port=0, workload="dispatch-wins").start() as server:
-            with socket.create_connection(server.address, timeout=30) as raw:
-                stream = raw.makefile("rwb")
-                stream.write(
-                    json.dumps(
-                        request_envelope("infer", request_id="a", request=head.to_dict())
-                    ).encode()
-                    + b"\n"
-                )
-                stream.flush()
-                assert gate.entered.wait(timeout=10), "head dispatch never ran"
-                stream.write(
-                    json.dumps(
-                        request_envelope("cancel", request_id="c", target="a")
-                    ).encode()
-                    + b"\n"
-                )
-                stream.flush()
-                cancel_reply = json.loads(stream.readline())
-                gate.release.set()
-                infer_reply = json.loads(stream.readline())
-                final = server.stats.copy()
+            raw = raw_frames(server.address)
+            raw.send("infer", request_id="a", request=head)
+            assert gate.entered.wait(timeout=10), "head dispatch never ran"
+            raw.send("cancel", request_id="c", target="a")
+            cancel_reply = raw.read()
+            gate.release.set()
+            infer_reply = raw.read()
+            final = server.stats.copy()
         assert cancel_reply["id"] == "c"
         assert cancel_reply["ok"] is True and cancel_reply["cancelled"] is False
         assert infer_reply["id"] == "a" and infer_reply["ok"] is True
@@ -827,16 +792,13 @@ class TestLoadControl:
         assert final["cancelled"] == 0
         assert final["requests"] == 1
 
-    def test_cancel_op_with_unknown_target_reports_false(self, workload):
+    def test_cancel_op_with_unknown_target_reports_false(self, workload, raw_frames):
         with ChipServer(
             _fresh_session(workload), port=0, workload="cancel-miss"
         ).start() as server:
-            with socket.create_connection(server.address, timeout=10) as raw:
-                stream = raw.makefile("rwb")
-                envelope = request_envelope("cancel", request_id=1, target=999)
-                stream.write(json.dumps(envelope).encode() + b"\n")
-                stream.flush()
-                reply = json.loads(stream.readline())
+            raw = raw_frames(server.address, timeout=10)
+            raw.send("cancel", request_id=1, target=999)
+            reply = raw.read()
         assert reply["ok"] is True
         assert reply["cancelled"] is False
         assert reply["target"] == 999
@@ -845,8 +807,12 @@ class TestLoadControl:
 # -- structured error replies (client side) ------------------------------------------
 
 
-def _canned_reply_server(reply_line: bytes):
-    """A one-shot fake server answering every request line with ``reply_line``."""
+def _canned_reply_server(reply: dict, raw_frames):
+    """A one-shot fake server answering every request frame with ``reply``.
+
+    The canned reply echoes each request's id, so the pipelined client can
+    route it like a real server's.
+    """
     srv = socket.create_server(("127.0.0.1", 0))
 
     def run():
@@ -854,44 +820,44 @@ def _canned_reply_server(reply_line: bytes):
             conn, _ = srv.accept()
         except OSError:
             return
-        with conn:
-            stream = conn.makefile("rwb")
-            while True:
-                line = stream.readline()
-                if not line:
-                    return
-                stream.write(reply_line + b"\n")
-                stream.flush()
+        peer = raw_frames(conn)
+        with contextlib.suppress(OSError):
+            while (message := peer.read()) is not None:
+                peer.send_envelope({**reply, "id": message.get("id")})
 
     threading.Thread(target=run, daemon=True).start()
     return srv
 
 
 class TestStructuredErrorReplies:
-    def test_remote_session_raises_on_structured_error(self):
+    def test_canned_structured_error_raises_with_code(self, raw_frames):
         srv = _canned_reply_server(
-            b'{"ok": false, "error": "server queue is full; request shed", '
-            b'"code": "overloaded"}'
+            {
+                "ok": False,
+                "error": "server queue is full; request shed",
+                "code": "overloaded",
+            },
+            raw_frames,
         )
         try:
-            remote = RemoteSession(*srv.getsockname()[:2], timeout=10, retries=0)
-            with pytest.raises(RemoteServerError, match="queue is full") as excinfo:
-                remote.infer(InferenceRequest(inputs=[[1.0, 2.0]]))
+            with PipelinedSession(*srv.getsockname()[:2], connections=1) as remote:
+                with pytest.raises(RemoteServerError, match="queue is full") as excinfo:
+                    remote.submit(InferenceRequest(inputs=[[1.0, 2.0]])).result(10)
             assert excinfo.value.code == ERROR_OVERLOADED
-            remote.close()
         finally:
             srv.close()
 
-    def test_remote_session_raises_on_unknown_error_shape(self):
+    def test_canned_unknown_error_shape_still_raises(self, raw_frames):
         # An error reply with no message and no code must still raise —
         # never hang, never be mistaken for success.
-        srv = _canned_reply_server(b'{"ok": false}')
+        srv = _canned_reply_server({"ok": False}, raw_frames)
         try:
-            remote = RemoteSession(*srv.getsockname()[:2], timeout=10, retries=0)
-            with pytest.raises(RemoteServerError, match="unknown server error") as excinfo:
-                remote.infer(InferenceRequest(inputs=[[1.0, 2.0]]))
+            with PipelinedSession(*srv.getsockname()[:2], connections=1) as remote:
+                with pytest.raises(
+                    RemoteServerError, match="unknown server error"
+                ) as excinfo:
+                    remote.submit(InferenceRequest(inputs=[[1.0, 2.0]])).result(10)
             assert excinfo.value.code is None
-            remote.close()
         finally:
             srv.close()
 
@@ -926,51 +892,6 @@ class TestParseEndpoint:
 
 
 class TestReconnect:
-    def test_remote_session_survives_server_restart(self, workload, single_session):
-        _, _, inputs, _ = workload
-        request = InferenceRequest(inputs=inputs[:4])
-        expected = single_session.infer(request)
-        server = ChipServer(_fresh_session(workload), port=0, workload="restart").start()
-        host, port = server.address
-        remote = RemoteSession(host, port, timeout=30)
-        try:
-            _assert_identical(expected, remote.infer(request))
-            # Kill the server: the session now holds a dead socket.
-            server.close()
-            reborn = ChipServer(
-                _fresh_session(workload), host=host, port=port, workload="restart"
-            ).start()
-            try:
-                # Idempotent ops reconnect and retry transparently.
-                assert remote.ping()
-                assert remote.info(refresh=True)["workload"] == "restart"
-                _assert_identical(expected, remote.infer(request))
-            finally:
-                reborn.close()
-        finally:
-            remote.close()
-            server.close()
-
-    def test_retries_zero_disables_resilience(self, workload):
-        _, _, inputs, _ = workload
-        server = ChipServer(_fresh_session(workload), port=0, workload="fragile").start()
-        host, port = server.address
-        remote = RemoteSession(host, port, timeout=30, retries=0)
-        try:
-            assert remote.ping()
-            server.close()
-            reborn = ChipServer(
-                _fresh_session(workload), host=host, port=port, workload="fragile"
-            ).start()
-            try:
-                with pytest.raises(ConnectionError):
-                    remote.ping()
-            finally:
-                reborn.close()
-        finally:
-            remote.close()
-            server.close()
-
     def test_pipelined_session_survives_server_restart(self, workload, single_session):
         _, _, inputs, _ = workload
         request = InferenceRequest(inputs=inputs[:4])
@@ -998,11 +919,11 @@ class TestReconnect:
         _, _, inputs, _ = workload
         gate = _GateTarget(_fresh_session(workload))
         with ChipServer(gate, port=0, workload="slow").start() as server:
-            remote = RemoteSession(*server.address, timeout=0.4)
+            remote = PipelinedSession(*server.address, connections=1)
             try:
                 started = time.monotonic()
                 with pytest.raises(TimeoutError):
-                    remote.infer(InferenceRequest(inputs=inputs[:2]))
+                    remote.submit(InferenceRequest(inputs=inputs[:2])).result(0.4)
                 elapsed = time.monotonic() - started
                 # One timeout window, not two (no retry of the slow request).
                 assert elapsed < 0.75, f"timed out after {elapsed:.2f}s — retried?"
@@ -1026,12 +947,13 @@ class TestReconnect:
                 time.sleep(0.6)  # well past the (establishment) timeout
                 _assert_identical(expected, pipelined.infer(request))
 
-    def test_fire_and_forget_shutdown_still_stops_server(self, workload):
+    def test_fire_and_forget_shutdown_still_stops_server(self, workload, raw_frames):
         # An operator script may send the shutdown op and hang up without
         # reading the acknowledgement; the stop must not be lost with it.
         server = ChipServer(_fresh_session(workload), port=0, workload="ff").start()
-        with socket.create_connection(server.address, timeout=10) as raw:
-            raw.sendall(b'{"op": "shutdown"}\n')
+        raw = raw_frames(server.address, timeout=10)
+        raw.send("shutdown")
+        raw.close()
         deadline = time.monotonic() + 10
         while server._thread.is_alive() and time.monotonic() < deadline:
             time.sleep(0.02)
@@ -1040,10 +962,6 @@ class TestReconnect:
 
     def test_closed_sessions_reject_use(self, workload):
         server = ChipServer(_fresh_session(workload), port=0, workload="closing").start()
-        remote = RemoteSession(*server.address)
-        remote.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            remote.ping()
         pipelined = PipelinedSession(*server.address)
         pipelined.close()
         pipelined.close()  # idempotent
@@ -1429,12 +1347,26 @@ class TestExperimentDeadline:
         )
         prepared = context.prepare("mnist-mlp")
         host, port = wedged.getsockname()[:2]
-        started = time.monotonic()
+        # The served-workload lookup talks to the same wedged endpoint and
+        # must be bounded by the same deadline.
+        lookup = WorkloadContext(
+            ExperimentSettings(
+                timesteps=4, eval_samples=2, train_samples=16, test_samples=8,
+                train_epochs=0, network_scale=0.15, seed=11,
+                chip_endpoint=f"{host}:{port}",
+            )
+        )
         try:
+            started = time.monotonic()
             with pytest.raises(TimeoutError):
                 context.evaluate_chip(prepared, endpoint=f"{host}:{port}")
             elapsed = time.monotonic() - started
             assert elapsed < 20, f"teardown took {elapsed:.1f}s — hang regression"
+            started = time.monotonic()
+            with pytest.raises(TimeoutError):
+                lookup.served_workload_name()
+            elapsed = time.monotonic() - started
+            assert elapsed < 20, f"workload lookup took {elapsed:.1f}s — hang"
         finally:
             wedged.close()
 
@@ -1451,7 +1383,9 @@ class TestServeCli:
             ["infer", "--endpoint", "127.0.0.1:7070", "--deadline", "0"],
             ["infer", "--endpoint", "127.0.0.1:7070", "--deadline", "-2"],
             ["infer", "--endpoint", "127.0.0.1:0"],
+            ["infer", "--endpoint", "127.0.0.1:7070", "--wire", "json"],
             ["smoke", "--timeout", "0"],
+            ["smoke", "--wire", "json"],
             ["serve", "--max-batch", "0"],
             ["serve", "--max-queue", "-1"],
             ["serve", "--shed-policy", "sometimes"],
@@ -1492,20 +1426,20 @@ class TestServeCli:
             _fresh_session(workload), port=0, workload="cli-test"
         ).start()
         seen: dict[str, float] = {}
-        real_connect = RemoteSession.connect.__func__
+        real_connect = PipelinedSession.connect.__func__
 
         def spying_connect(cls, endpoint, *, timeout=120.0, **kwargs):
             seen["timeout"] = timeout
             return real_connect(cls, endpoint, timeout=timeout, **kwargs)
 
         monkeypatch.setattr(
-            cli.RemoteSession, "connect", classmethod(spying_connect)
+            cli.PipelinedSession, "connect", classmethod(spying_connect)
         )
 
         def tiny_inference(remote, args):
             _, _, inputs, labels = workload
             request = InferenceRequest(inputs=inputs[:2], labels=labels[:2])
-            return request, remote.infer(request)
+            return request, remote.submit(request).result(args.timeout)
 
         monkeypatch.setattr(cli, "_client_inference", tiny_inference)
         try:

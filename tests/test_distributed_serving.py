@@ -12,8 +12,7 @@ endpoints.
 
 from __future__ import annotations
 
-import json
-import socket
+import struct
 
 import numpy as np
 import pytest
@@ -25,12 +24,13 @@ from repro.serve.distributed import (
     ChipServer,
     GatewayEndpoint,
     InferenceGateway,
+    PipelinedSession,
     RemoteServerError,
-    RemoteSession,
     load_benchmark_workload,
     make_executor,
     parse_endpoint,
 )
+from repro.serve.schema import FRAME_MAGIC, encode_frame, request_envelope
 from repro.snn import Dense, Network, convert_to_snn
 
 ENERGY_RTOL = 1e-9
@@ -74,6 +74,11 @@ def single_response(workload):
     snn, config, inputs, labels = workload
     session = ChipSession(snn, config=config, timesteps=6, encoder="poisson", seed=11)
     return session.infer(InferenceRequest(inputs=inputs, labels=labels))
+
+
+def _frame_with_meta(meta: bytes) -> bytes:
+    """A well-delimited frame whose metadata section is ``meta`` verbatim."""
+    return struct.pack("<4sIQ", FRAME_MAGIC, len(meta), 0) + meta
 
 
 def _assert_responses_identical(single, other):
@@ -205,18 +210,18 @@ class TestServerClient:
         self, served_pool, workload, single_response
     ):
         _, _, inputs, labels = workload
-        with RemoteSession.connect(served_pool.endpoint) as remote:
+        with PipelinedSession.connect(served_pool.endpoint, connections=1) as remote:
             response = remote.infer(InferenceRequest(inputs=inputs, labels=labels))
         assert response.jobs == 2
         _assert_responses_identical(single_response, response)
-        # The JSON wire round trip is lossless, so the float counters and
-        # energy components are not just close — they are bit-identical.
+        # The wire round trip is lossless, so the float counters and energy
+        # components are not just close — they are bit-identical.
         assert response.counters.as_dict() == pytest.approx(
             single_response.counters.as_dict(), rel=ENERGY_RTOL
         )
 
     def test_ping_info_and_session_surface(self, served_pool):
-        with RemoteSession.connect(served_pool.endpoint) as remote:
+        with PipelinedSession.connect(served_pool.endpoint, connections=1) as remote:
             assert remote.ping()
             info = remote.info()
             assert info["workload"] == "dist-test"
@@ -227,32 +232,33 @@ class TestServerClient:
 
     def test_many_requests_on_one_connection(self, served_pool, workload):
         _, _, inputs, _ = workload
-        with RemoteSession.connect(served_pool.endpoint) as remote:
+        with PipelinedSession.connect(served_pool.endpoint, connections=1) as remote:
             first = remote.infer(InferenceRequest(inputs=inputs[:3]))
             second = remote.infer(InferenceRequest(inputs=inputs[:3]))
         np.testing.assert_array_equal(first.predictions, second.predictions)
 
-    def test_server_error_replies(self, served_pool):
-        host, port = served_pool.address
-        with socket.create_connection((host, port), timeout=10) as raw:
-            stream = raw.makefile("rwb")
-            for line, fragment in [
-                (b"this is not json", b"malformed request line"),
-                (b"[1, 2, 3]", b"must be a JSON object"),
-                (b'{"op": "warp"}', b"unknown op"),
-                (b'{"op": "infer"}', b"request"),
-                (b'{"op": "infer", "request": {"bogus": 1}}', b"missing required"),
-            ]:
-                stream.write(line + b"\n")
-                stream.flush()
-                reply = json.loads(stream.readline())
-                assert reply["ok"] is False
-                assert fragment.decode() in reply["error"], reply["error"]
+    def test_server_error_replies(self, served_pool, raw_frames):
+        raw = raw_frames(served_pool.address, timeout=10)
+        for frame, fragment in [
+            (_frame_with_meta(b"this is not json"), "malformed frame metadata"),
+            (_frame_with_meta(b"[1, 2, 3]"), "must be a JSON object"),
+            (encode_frame(request_envelope("warp")), "unknown op"),
+            (encode_frame(request_envelope("infer")), "request"),
+            (
+                encode_frame(request_envelope("infer", request={"bogus": 1})),
+                "missing required",
+            ),
+        ]:
+            raw.send_bytes(frame)
+            reply = raw.read()
+            # Every one is a structured reply on a connection that stays up.
+            assert reply["ok"] is False
+            assert fragment in reply["error"], reply["error"]
 
     def test_client_raises_remote_server_error(self, served_pool):
-        with RemoteSession.connect(served_pool.endpoint) as remote:
+        with PipelinedSession.connect(served_pool.endpoint, connections=1) as remote:
             with pytest.raises(RemoteServerError, match="unknown op"):
-                remote._call({"op": "time-travel"})
+                remote._submit_op("time-travel").result(timeout=10)
 
     def test_concurrent_clients_on_bare_structural_session(self, workload):
         # A bare ChipSession is not thread-safe (the structural backend
@@ -270,7 +276,7 @@ class TestServerClient:
         expected = session.infer(request)
 
         def one_client(_):
-            with RemoteSession.connect(server.address) as remote:
+            with PipelinedSession.connect(server.address, connections=1) as remote:
                 return remote.infer(request)
 
         with ChipServer(session, port=0, workload="structural").start() as server:
@@ -284,13 +290,13 @@ class TestServerClient:
         snn, config, inputs, _ = workload
         session = ChipSession(snn, config=config, timesteps=4, seed=0)
         server = ChipServer(session, port=0, workload="ephemeral").start()
-        with RemoteSession.connect(server.address) as remote:
+        with PipelinedSession.connect(server.address, connections=1) as remote:
             response = remote.infer(InferenceRequest(inputs=inputs[:2]))
             assert response.batch_size == 2
             remote.shutdown_server()
         server.close()  # idempotent with the remote shutdown
         with pytest.raises(OSError):
-            RemoteSession(*server.address)
+            PipelinedSession(*server.address)
 
     def test_parse_endpoint(self):
         assert parse_endpoint("127.0.0.1:7070") == ("127.0.0.1", 7070)
@@ -337,7 +343,7 @@ class TestGateway:
     ):
         snn, config, inputs, labels = workload
         local = ChipSession(snn, config=config, timesteps=6, encoder="poisson", seed=11)
-        with RemoteSession.connect(served_pool.endpoint) as remote:
+        with PipelinedSession.connect(served_pool.endpoint) as remote:
             with InferenceGateway([remote, local]) as gateway:
                 # The remote pool advertises capacity 2, the session 1.
                 assert gateway.total_capacity == 3.0

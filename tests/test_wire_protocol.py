@@ -1,35 +1,32 @@
-"""Protocol version matrix: v1/v2 JSON peers, v3 frames, and the fallbacks.
+"""Wire protocol: v3 frames end to end, and the wire's failure contracts.
 
-The serving stack carries two wire carriers on the same TCP port —
-newline-delimited JSON (protocols 1 and 2) and length-prefixed binary
-frames (protocol 3) — with the carrier negotiated per connection and the
-reply always leaving on the carrier its request arrived on.  This suite
-pins the compatibility matrix:
+Every message on a chip-server connection is a protocol-3 binary frame.
+This suite pins what that carrier promises:
 
-* v1 (untagged, version-less) and v2 (tagged) JSON clients work unmodified
-  against a v3 server;
-* a v3 client negotiates frames against a v3 server, is forced back to
-  JSON by ``wire="json"``, and falls back automatically against a canned
-  pre-v3 server;
-* every path returns responses bit-identical to a local ``ChipSession``;
+* the typed client (one connection or several) and a hand-driven raw peer
+  both get responses bit-identical to a local ``ChipSession`` — and
+  identical to the lossless JSON rendering of the same response;
+* a peer that does not speak frames (a JSON line, say) gets one structured
+  error frame and is hung up on at once, while frame clients keep being
+  served;
 * malformed and truncated frames surface as structured error replies
   (connection kept when the stream stays framed, hung up when it cannot
   be resynchronised);
-* the graceful ``drain`` op is version-agnostic: an old v2 JSON peer can
-  drive it, a draining server answers everything admitted and refuses new
-  work with the structured ``draining`` error, and typed clients surface
-  it as :class:`RemoteServerError` with ``.code == "draining"``;
-* the satellite bug fixes: IPv6 endpoint parsing, jittered reconnect
-  backoff, and ``infer_many`` cancelling outstanding work on failure.
+* the graceful ``drain`` op over the wire: a draining server answers
+  everything admitted and refuses new work with the structured
+  ``draining`` error, and the typed client surfaces it as
+  :class:`RemoteServerError` with ``.code == "draining"``;
+* the satellite fixes: IPv6 endpoint parsing, jittered reconnect backoff,
+  and ``infer_many`` cancelling outstanding work on failure.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import socket
 import struct
 import threading
+import time
 from concurrent.futures import Future
 
 import numpy as np
@@ -42,21 +39,15 @@ from repro.serve.distributed import (
     InferenceGateway,
     PipelinedSession,
     RemoteServerError,
-    RemoteSession,
     parse_endpoint,
 )
-from repro.serve.distributed import client as client_module
-from repro.serve.distributed.client import CancellableFuture, _retry_backoff
+from repro.serve.distributed.client import CancellableFuture
+from repro.serve.retry import retry_backoff
 from repro.serve.schema import (
     ERROR_DRAINING,
     FRAME_HEADER_SIZE,
     FRAME_MAGIC,
     MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
-    decode_frame_payload,
-    encode_frame,
-    parse_frame_header,
-    request_envelope,
 )
 from repro.snn import Dense, Network, convert_to_snn
 
@@ -121,15 +112,6 @@ def _assert_identical(expected, actual):
     )
 
 
-def _read_reply_frame(stream) -> dict:
-    header = stream.read(FRAME_HEADER_SIZE)
-    assert len(header) == FRAME_HEADER_SIZE, "truncated reply frame header"
-    meta_len, payload_len = parse_frame_header(header)
-    meta = stream.read(meta_len)
-    payload = stream.read(payload_len)
-    return decode_frame_payload(meta, payload)
-
-
 # -- endpoint parsing (IPv6 regression) ---------------------------------------------
 
 
@@ -151,56 +133,14 @@ class TestParseEndpoint:
             parse_endpoint(endpoint)
 
 
-# -- old JSON clients against a v3 server -------------------------------------------
-
-
-class TestJsonPeersAgainstV3Server:
-    def test_v1_untagged_versionless_lines(self, server, workload, single_session):
-        _, _, inputs, labels = workload
-        request = InferenceRequest(inputs=inputs, labels=labels)
-        with socket.create_connection(server.address, timeout=30) as raw:
-            stream = raw.makefile("rwb")
-            # A version-less, id-less envelope is the protocol-1 shape.
-            stream.write(
-                json.dumps({"op": "infer", "request": request.to_dict()}).encode()
-                + b"\n"
-            )
-            stream.flush()
-            reply = json.loads(stream.readline())
-        assert reply["ok"] is True
-        assert "id" not in reply
-        _assert_identical(
-            single_session.infer(request),
-            InferenceResponse.from_dict(reply["response"]),
-        )
-
-    def test_v2_tagged_json_lines(self, server, workload, single_session):
-        _, _, inputs, labels = workload
-        request = InferenceRequest(inputs=inputs[:6], labels=labels[:6])
-        envelope = request_envelope(
-            "infer", request_id="v2-req", version=2, request=request.to_dict()
-        )
-        with socket.create_connection(server.address, timeout=30) as raw:
-            stream = raw.makefile("rwb")
-            stream.write(json.dumps(envelope).encode() + b"\n")
-            stream.flush()
-            reply = json.loads(stream.readline())
-        assert reply["ok"] is True
-        assert reply["id"] == "v2-req"
-        _assert_identical(
-            single_session.infer(request),
-            InferenceResponse.from_dict(reply["response"]),
-        )
-
-
 # -- graceful drain over the wire ---------------------------------------------------
 
 
 class TestDrainOverTheWire:
-    def test_v2_peer_drains_and_new_work_gets_structured_error(
-        self, workload, single_session
+    def test_raw_peer_drains_and_new_work_gets_structured_error(
+        self, workload, single_session, raw_frames
     ):
-        """Drain is version-agnostic; the admitted request still gets its answer."""
+        """A raw frame peer drives drain; the admitted request still gets its answer."""
         snn, config, inputs, _ = workload
 
         class _Gate:
@@ -222,140 +162,94 @@ class TestDrainOverTheWire:
         )
         request = InferenceRequest(inputs=inputs[:5])
         with ChipServer(gate, port=0, workload="drain-wire").start() as served:
-            with contextlib.ExitStack() as stack:
-                # One admitted request occupies the work thread: the drain
-                # below must wait for it, keeping the server in the
-                # ``draining`` state while the refusals are probed.
-                held = stack.enter_context(
-                    socket.create_connection(served.address, timeout=30)
-                )
-                held_stream = held.makefile("rwb")
-                held_stream.write(
-                    json.dumps(
-                        request_envelope(
-                            "infer",
-                            request_id="held",
-                            version=2,
-                            request=request.to_dict(),
-                        )
-                    ).encode()
-                    + b"\n"
-                )
-                held_stream.flush()
-                assert gate.entered.wait(timeout=30)
-                # An old v2 JSON peer can drive the drain op directly.
-                peer = stack.enter_context(
-                    socket.create_connection(served.address, timeout=30)
-                )
-                peer_stream = peer.makefile("rwb")
-                peer_stream.write(
-                    json.dumps(
-                        request_envelope("drain", request_id="d1", version=2)
-                    ).encode()
-                    + b"\n"
-                )
-                peer_stream.flush()
-                ack = json.loads(peer_stream.readline())
-                assert ack["ok"] is True
-                assert ack["id"] == "d1"
-                assert ack["draining"] is True
-                assert ack["pending"] == 1
-                # New v2 work on the same peer: a structured error envelope
-                # with the machine-readable ``draining`` code, not a hangup.
-                peer_stream.write(
-                    json.dumps(
-                        request_envelope(
-                            "infer",
-                            request_id="late",
-                            version=2,
-                            request=request.to_dict(),
-                        )
-                    ).encode()
-                    + b"\n"
-                )
-                peer_stream.flush()
-                refusal = json.loads(peer_stream.readline())
-                assert refusal["ok"] is False
-                assert refusal["id"] == "late"
-                assert refusal["code"] == ERROR_DRAINING
-                assert "draining" in refusal["error"]
-                # A typed client surfaces the same refusal as a
-                # RemoteServerError carrying the code.
-                with RemoteSession.connect(served.address, timeout=30) as remote:
-                    with pytest.raises(RemoteServerError) as excinfo:
-                        remote.infer(request)
-                    assert excinfo.value.code == ERROR_DRAINING
-                # Release the held request: it gets its exact answer even
-                # though the server has been draining the whole time.
-                gate.release.set()
-                reply = json.loads(held_stream.readline())
-                assert reply["ok"] is True
-                assert reply["id"] == "held"
-                _assert_identical(
-                    single_session.infer(request),
-                    InferenceResponse.from_dict(reply["response"]),
-                )
+            # One admitted request occupies the work thread: the drain below
+            # must wait for it, keeping the server in the ``draining`` state
+            # while the refusals are probed.
+            held = raw_frames(served.address)
+            held.send("infer", request_id="held", request=request)
+            assert gate.entered.wait(timeout=30)
+            peer = raw_frames(served.address)
+            peer.send("drain", request_id="d1")
+            ack = peer.read()
+            assert ack["ok"] is True
+            assert ack["id"] == "d1"
+            assert ack["draining"] is True
+            assert ack["pending"] == 1
+            # New work on the same peer: a structured error envelope with
+            # the machine-readable ``draining`` code, not a hangup.
+            peer.send("infer", request_id="late", request=request)
+            refusal = peer.read()
+            assert refusal["ok"] is False
+            assert refusal["id"] == "late"
+            assert refusal["code"] == ERROR_DRAINING
+            assert "draining" in refusal["error"]
+            # The typed client surfaces the same refusal as a
+            # RemoteServerError carrying the code.
+            with PipelinedSession.connect(
+                served.address, connections=1, timeout=30
+            ) as remote:
+                with pytest.raises(RemoteServerError) as excinfo:
+                    remote.submit(request).result(timeout=30)
+                assert excinfo.value.code == ERROR_DRAINING
+            # Release the held request: it gets its exact answer even though
+            # the server has been draining the whole time.
+            gate.release.set()
+            reply = held.read()
+            assert reply["ok"] is True
+            assert reply["id"] == "held"
+            _assert_identical(
+                single_session.infer(request),
+                InferenceResponse.from_dict(reply["response"]),
+            )
 
 
-# -- v3 negotiation and parity ------------------------------------------------------
+# -- frame parity -------------------------------------------------------------------
 
 
-class TestV3Negotiation:
-    def test_remote_session_negotiates_frames(self, server, workload, single_session):
+class TestFrameParity:
+    def test_single_connection_client_is_exact(self, server, workload, single_session):
         _, _, inputs, labels = workload
         request = InferenceRequest(inputs=inputs, labels=labels)
-        with RemoteSession(*server.address) as remote:
-            assert remote.wire_version == PROTOCOL_VERSION == 3
-            assert remote.ping()
-            _assert_identical(single_session.infer(request), remote.infer(request))
+        with PipelinedSession(*server.address, connections=1) as remote:
+            assert remote.ping(timeout=30)
+            _assert_identical(
+                single_session.infer(request), remote.submit(request).result(30)
+            )
 
-    def test_forced_json_matches_binary_bit_for_bit(self, server, workload):
+    def test_frames_match_json_rendering_bit_for_bit(
+        self, server, workload, single_session
+    ):
+        # JSON stays the lossless debug rendering of the schema: a response
+        # read off the frame carrier equals the local response's JSON round
+        # trip exactly, float for float.
         _, _, inputs, labels = workload
         request = InferenceRequest(inputs=inputs, labels=labels)
-        with RemoteSession(*server.address) as binary:
-            assert binary.wire_version == 3
-            via_frames = binary.infer(request)
-        with RemoteSession(*server.address, wire="json") as jsonic:
-            assert jsonic.wire_version == 2
-            via_json = jsonic.infer(request)
+        with PipelinedSession(*server.address, connections=1) as remote:
+            via_frames = remote.submit(request).result(30)
+        via_json = InferenceResponse.from_json(single_session.infer(request).to_json())
         np.testing.assert_array_equal(via_frames.predictions, via_json.predictions)
         np.testing.assert_array_equal(via_frames.spike_counts, via_json.spike_counts)
         assert via_frames.counters == via_json.counters
         assert via_frames.energy.to_dict() == via_json.energy.to_dict()
         assert via_frames.accuracy == via_json.accuracy
 
-    def test_pipelined_session_negotiates_frames(
-        self, server, workload, single_session
-    ):
+    def test_pipelined_session_is_exact(self, server, workload, single_session):
         _, _, inputs, labels = workload
         requests = [
             InferenceRequest(inputs=inputs, labels=labels),
             InferenceRequest(inputs=inputs[:4], sample_offset=2),
         ]
         with PipelinedSession(*server.address, connections=2) as remote:
-            assert remote.wire_version == 3
             responses = remote.infer_many(requests)
         for request, response in zip(requests, responses):
             _assert_identical(single_session.infer(request), response)
 
-    def test_pipelined_forced_json(self, server, workload, single_session):
-        _, _, inputs, _ = workload
-        request = InferenceRequest(inputs=inputs[:5])
-        with PipelinedSession(*server.address, wire="json") as remote:
-            assert remote.wire_version == 2
-            _assert_identical(single_session.infer(request), remote.infer(request))
-
-    def test_raw_v3_frame_round_trip(self, server, workload, single_session):
+    def test_raw_v3_frame_round_trip(self, server, workload, single_session, raw_frames):
         _, _, inputs, labels = workload
         request = InferenceRequest(inputs=inputs, labels=labels)
-        envelope = request_envelope(
-            "infer", request_id="raw-v3", request=request.to_wire_dict()
-        )
-        with socket.create_connection(server.address, timeout=30) as raw:
-            stream = raw.makefile("rwb")
-            stream.write(encode_frame(envelope))
-            stream.flush()
-            reply = _read_reply_frame(stream)
+        raw = raw_frames(server.address)
+        raw.send("infer", request_id="raw-v3", request=request)
+        reply = raw.read()
         assert reply["ok"] is True
         assert reply["id"] == "raw-v3"
         assert isinstance(reply["response"]["predictions"], np.ndarray)
@@ -365,191 +259,118 @@ class TestV3Negotiation:
         )
 
 
-# -- v3 client against a canned pre-v3 server ---------------------------------------
+# -- peers that do not speak frames -------------------------------------------------
 
 
-class _CannedV2Server:
-    """A minimal pre-frame chip server: JSON lines only, protocol <= 2.
-
-    Mirrors what an un-upgraded deployment answers — including rejecting
-    any envelope that declares a version above 2 — so the client fallback
-    path is tested against the real negotiation contract rather than
-    against another instance of the new server.
-    """
-
-    def __init__(self, session: ChipSession):
-        self.session = session
-        self._sock = socket.create_server(("127.0.0.1", 0))
-        self.address = self._sock.getsockname()
-        threading.Thread(target=self._accept_loop, daemon=True).start()
-
-    def _accept_loop(self) -> None:
-        with contextlib.suppress(OSError):
-            while True:
-                conn, _ = self._sock.accept()
-                threading.Thread(
-                    target=self._serve, args=(conn,), daemon=True
-                ).start()
-
-    def _serve(self, conn: socket.socket) -> None:
-        with contextlib.suppress(Exception), conn:
-            stream = conn.makefile("rwb")
-            for line in iter(stream.readline, b""):
-                message = json.loads(line)
-                request_id = message.get("id")
-                version = message.get("v", 1)
-                if not isinstance(version, int) or not 1 <= version <= 2:
-                    reply = {
-                        "ok": False,
-                        "v": 2,
-                        "error": f"unsupported protocol version {version!r}",
-                    }
-                elif message.get("op") == "ping":
-                    reply = {"ok": True, "v": 2, "reply": "ping", "pong": True}
-                elif message.get("op") == "info":
-                    reply = {
-                        "ok": True,
-                        "v": 2,
-                        "reply": "info",
-                        "info": {
-                            "capacity": 1,
-                            "backend": self.session.backend,
-                            "timesteps": self.session.timesteps,
-                        },
-                    }
-                elif message.get("op") == "infer":
-                    response = self.session.infer(
-                        InferenceRequest.from_dict(message["request"])
-                    )
-                    reply = {
-                        "ok": True,
-                        "v": 2,
-                        "reply": "infer",
-                        "response": response.to_dict(),
-                    }
-                else:
-                    reply = {"ok": False, "v": 2, "error": "unknown op"}
-                if request_id is not None:
-                    reply["id"] = request_id
-                stream.write(json.dumps(reply).encode() + b"\n")
-                stream.flush()
-
-    def close(self) -> None:
-        self._sock.close()
-
-
-@pytest.fixture(scope="module")
-def canned_v2_server(workload):
-    snn, config, _, _ = workload
-    session = ChipSession(snn, config=config, timesteps=5, encoder="poisson", seed=17)
-    served = _CannedV2Server(session)
-    yield served
-    served.close()
-
-
-class TestFallbackAgainstOldServer:
-    def test_remote_session_falls_back_to_json(
-        self, canned_v2_server, workload, single_session
+class TestNonFramePeers:
+    def test_json_line_gets_one_error_frame_and_hangup(
+        self, server, workload, single_session, raw_frames
     ):
-        _, _, inputs, labels = workload
-        request = InferenceRequest(inputs=inputs, labels=labels)
-        with RemoteSession(*canned_v2_server.address) as remote:
-            assert remote.wire_version == 2
-            assert remote.ping()
-            assert remote.capacity == 1
-            _assert_identical(single_session.infer(request), remote.infer(request))
-
-    def test_pipelined_session_falls_back_to_json(
-        self, canned_v2_server, workload, single_session
-    ):
+        # A JSON line is shorter than a frame header: the server must answer
+        # on its first byte, not wait for header bytes that never come.
+        line = b'{"op":"ping"}\n'
+        assert len(line) == 14 < FRAME_HEADER_SIZE
         _, _, inputs, _ = workload
-        request = InferenceRequest(inputs=inputs[:7])
-        with PipelinedSession(*canned_v2_server.address, connections=1) as remote:
-            assert remote.wire_version == 2
-            _assert_identical(single_session.infer(request), remote.infer(request))
+        request = InferenceRequest(inputs=inputs[:3])
+        with PipelinedSession(*server.address, connections=1) as client:
+            in_flight = client.submit(request)
+            peer = raw_frames(server.address, timeout=5)
+            started = time.monotonic()
+            peer.send_bytes(line)
+            reply = peer.read()
+            assert reply["ok"] is False
+            assert "binary frame" in reply["error"]
+            assert peer.at_eof(), "server kept the non-frame peer connected"
+            assert time.monotonic() - started < 5
+            # The frame client on its own connection is served normally.
+            _assert_identical(single_session.infer(request), in_flight.result(30))
+            assert client.ping(timeout=10)
 
 
 # -- malformed and truncated frames -------------------------------------------------
 
 
 class TestFrameErrors:
-    def test_bad_magic_gets_error_reply_then_hangup(self, server):
-        header = struct.pack("<4sIQ", b"\x93XXX", 0, 0)
-        with socket.create_connection(server.address, timeout=30) as raw:
-            stream = raw.makefile("rwb")
-            stream.write(header)
-            stream.flush()
-            reply = _read_reply_frame(stream)
-            assert reply["ok"] is False
-            assert "magic" in reply["error"]
-            # The stream cannot be resynchronised: the server hangs up.
-            assert stream.read(1) == b""
+    def test_bad_magic_gets_error_reply_then_hangup(self, server, raw_frames):
+        raw = raw_frames(server.address)
+        raw.send_bytes(struct.pack("<4sIQ", b"\x93XXX", 0, 0))
+        reply = raw.read()
+        assert reply["ok"] is False
+        assert "magic" in reply["error"]
+        # The stream cannot be resynchronised: the server hangs up.
+        assert raw.at_eof()
 
-    def test_oversized_frame_gets_error_reply_then_hangup(self, server):
-        header = struct.pack("<4sIQ", FRAME_MAGIC, 16, MAX_FRAME_BYTES)
-        with socket.create_connection(server.address, timeout=30) as raw:
-            stream = raw.makefile("rwb")
-            stream.write(header)
-            stream.flush()
-            reply = _read_reply_frame(stream)
-            assert reply["ok"] is False
-            assert "exceeds" in reply["error"]
-            assert stream.read(1) == b""
+    def test_oversized_frame_gets_error_reply_then_hangup(self, server, raw_frames):
+        raw = raw_frames(server.address)
+        raw.send_bytes(struct.pack("<4sIQ", FRAME_MAGIC, 16, MAX_FRAME_BYTES))
+        reply = raw.read()
+        assert reply["ok"] is False
+        assert "exceeds" in reply["error"]
+        assert raw.at_eof()
 
-    def test_corrupt_metadata_keeps_connection_serving(self, server):
+    def test_corrupt_metadata_keeps_connection_serving(self, server, raw_frames):
         meta = b"this is not json"
-        frame = struct.pack("<4sIQ", FRAME_MAGIC, len(meta), 0) + meta
-        with socket.create_connection(server.address, timeout=30) as raw:
-            stream = raw.makefile("rwb")
-            stream.write(frame)
-            stream.flush()
-            reply = _read_reply_frame(stream)
-            assert reply["ok"] is False
-            assert "metadata" in reply["error"]
-            # The frame was well-delimited, so the stream stays in sync: a
-            # valid request on the same connection still gets served.
-            stream.write(encode_frame(request_envelope("ping", request_id="after")))
-            stream.flush()
-            reply = _read_reply_frame(stream)
-            assert reply["ok"] is True
-            assert reply["id"] == "after"
-            assert reply["pong"] is True
+        raw = raw_frames(server.address)
+        raw.send_bytes(struct.pack("<4sIQ", FRAME_MAGIC, len(meta), 0) + meta)
+        reply = raw.read()
+        assert reply["ok"] is False
+        assert "metadata" in reply["error"]
+        # The frame was well-delimited, so the stream stays in sync: a valid
+        # request on the same connection still gets served.
+        raw.send("ping", request_id="after")
+        reply = raw.read()
+        assert reply["ok"] is True
+        assert reply["id"] == "after"
+        assert reply["pong"] is True
 
-    def test_bad_array_descriptor_echoes_request_id(self, server):
+    @pytest.mark.parametrize(
+        ("descriptor", "fragment"),
+        [
+            ({"dtype": "<f4", "shape": [1], "offset": 0}, "dtype"),
+            # 2**70 elements: the count must not overflow a fixed-width int.
+            ({"dtype": "<f8", "shape": [2**70], "offset": 0}, "payload holds"),
+            ({"dtype": "<f8", "shape": [True, 1], "offset": 0}, "malformed"),
+        ],
+        ids=["unsupported-dtype", "overflowing-shape", "bool-dim"],
+    )
+    def test_bad_array_descriptor_echoes_request_id(
+        self, server, raw_frames, descriptor, fragment
+    ):
         # Valid framing, structurally broken metadata: the error reply is
-        # structured AND tagged, so a pipelined client can route it.
+        # structured AND tagged, so a pipelined client can route it — and
+        # the connection keeps serving.
         meta = json.dumps(
             {
-                "envelope": {"v": 3, "op": "ping", "id": "bad-dtype"},
-                "arrays": [{"dtype": "<f4", "shape": [1], "offset": 0}],
+                "envelope": {"v": 3, "op": "ping", "id": "bad-descriptor"},
+                "arrays": [descriptor],
             },
             separators=(",", ":"),
         ).encode()
-        frame = struct.pack("<4sIQ", FRAME_MAGIC, len(meta), 8) + meta + bytes(8)
-        with socket.create_connection(server.address, timeout=30) as raw:
-            stream = raw.makefile("rwb")
-            stream.write(frame)
-            stream.flush()
-            reply = _read_reply_frame(stream)
-            assert reply["ok"] is False
-            assert reply["id"] == "bad-dtype"
-            assert "dtype" in reply["error"]
+        raw = raw_frames(server.address)
+        raw.send_bytes(struct.pack("<4sIQ", FRAME_MAGIC, len(meta), 8) + meta + bytes(8))
+        reply = raw.read()
+        assert reply["ok"] is False
+        assert reply["id"] == "bad-descriptor"
+        assert fragment in reply["error"]
+        raw.send("ping", request_id="after")
+        after = raw.read()
+        assert after["ok"] is True and after["id"] == "after"
 
-    def test_truncated_frame_then_eof_drops_connection(self, server):
-        header = struct.pack("<4sIQ", FRAME_MAGIC, 64, 128)
-        with socket.create_connection(server.address, timeout=30) as raw:
-            stream = raw.makefile("rwb")
-            stream.write(header + b"only-part-of-the-meta")
-            stream.flush()
-            raw.shutdown(socket.SHUT_WR)
-            # There is nobody to answer: the server just drops the peer.
-            assert stream.read(1) == b""
+    def test_truncated_frame_then_eof_drops_connection(self, server, raw_frames):
+        raw = raw_frames(server.address)
+        raw.send_bytes(
+            struct.pack("<4sIQ", FRAME_MAGIC, 64, 128) + b"only-part-of-the-meta"
+        )
+        raw.socket.shutdown(socket.SHUT_WR)
+        # There is nobody to answer: the server just drops the peer.
+        assert raw.at_eof()
 
     def test_server_still_healthy_after_frame_abuse(self, server, workload):
         _, _, inputs, _ = workload
-        with RemoteSession(*server.address) as remote:
-            assert remote.ping()
-            assert remote.infer(InferenceRequest(inputs=inputs[:2])).batch_size == 2
+        with PipelinedSession(*server.address, connections=1) as remote:
+            assert remote.ping(timeout=30)
+            response = remote.submit(InferenceRequest(inputs=inputs[:2])).result(30)
+            assert response.batch_size == 2
 
 
 # -- reconnect backoff --------------------------------------------------------------
@@ -557,28 +378,10 @@ class TestFrameErrors:
 
 class TestReconnectBackoff:
     def test_backoff_is_jittered_and_grows(self):
-        first = {_retry_backoff(0) for _ in range(32)}
+        first = {retry_backoff(0) for _ in range(32)}
         assert all(0.025 <= delay <= 0.1 for delay in first)
         assert len(first) > 1, "backoff must be jittered, not constant"
-        assert all(0.05 <= _retry_backoff(1) <= 0.2 for _ in range(32))
-
-    def test_call_backs_off_between_reconnect_attempts(self, server, monkeypatch):
-        delays: list[int] = []
-        monkeypatch.setattr(
-            client_module,
-            "_retry_backoff",
-            lambda attempt: (delays.append(attempt), 0.0)[1],
-        )
-        with ChipServer(
-            server.target, port=0, workload="backoff"
-        ).start() as doomed:
-            remote = RemoteSession(*doomed.address, retries=2)
-        # The server is gone: every attempt fails, with a backoff between
-        # consecutive attempts (but not after the last).
-        with pytest.raises(ConnectionError):
-            remote.ping()
-        remote.close()
-        assert delays == [0, 1]
+        assert all(0.05 <= retry_backoff(1) <= 0.2 for _ in range(32))
 
 
 # -- infer_many cancels outstanding work on failure ---------------------------------
