@@ -111,7 +111,6 @@ def _drive_burst(session_spec, requests, expected, max_replicas: int) -> dict:
         spec,
         policy=_policy(max_replicas),
         name=f"bench-fleet-{max_replicas}",
-        gateway_load_poll_s=0.05,
     ) as fleet:
         started = time.perf_counter()
         submitted = [

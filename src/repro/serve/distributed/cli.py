@@ -801,7 +801,6 @@ def _smoke_hedging(args: argparse.Namespace) -> None:
         ],
         name="smoke-hedge",
         adaptive=False,
-        load_poll_s=0.0,
         hedge_after_s=args.hedge_after,
     )
     try:

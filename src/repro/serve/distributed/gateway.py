@@ -11,16 +11,17 @@ Sharding is *capacity-weighted and load-aware*: an endpoint with capacity 3
 (say, a remote pool with ``jobs=3``) receives three times the samples of a
 capacity-1 session, via cumulative rounding so the contiguous shard sizes
 always sum to the batch exactly — but the static weight is discounted by the
-endpoint's observed backlog (gateway shards planned onto it and not yet
-finished, plus the server's last-polled ``queue_depth``/``inflight``), so a
-congested server receives less of each new batch instead of stretching its
-queue further.  Server backlog is polled by a **background refresher
-thread**, never on the submit path: ``submit()`` reads only cached hints, so
-a wedged endpoint's ``info`` can never stall dispatch.  A shard that an
-overloaded or draining server *sheds* (structured ``overloaded`` /
-``draining`` error) is retried on the least-loaded sibling endpoint within
-the request's :class:`~repro.serve.retry.RetryBudget` (jittered backoff
-between hops; exhaustion surfaces as a structured
+endpoint's backlog, which the gateway keeps itself: the shards planned onto
+the endpoint and not yet finished.  A congested endpoint thus receives less
+of each new batch instead of stretching its queue further.  The gateway
+never asks an endpoint for its load — no ``info`` poll, no background
+thread: a gateway-fronted server is expected to serve that gateway alone
+(every deployment in this package does), so its queue holds nothing the
+gateway has not already counted.  A shard that an overloaded or draining
+server *sheds* (structured ``overloaded`` / ``draining`` error) is retried
+on the least-loaded sibling endpoint within the request's
+:class:`~repro.serve.retry.RetryBudget` (jittered backoff between hops;
+exhaustion surfaces as a structured
 :class:`~repro.serve.retry.RetryBudgetExhausted`), and per-request deadlines
 propagate to every endpoint that understands them.
 
@@ -28,7 +29,7 @@ The gateway also mitigates *stragglers*: with hedging enabled
 (``hedge_after_s`` and/or ``hedge_percentile``), a shard whose wait exceeds
 the straggler threshold is **hedged** — duplicated to the least-loaded
 serving sibling.  The first attempt to finish wins the shard; the loser is
-cancelled best-effort (over the wire via the v2 ``cancel`` op, tagged
+cancelled best-effort (over the wire via the ``cancel`` op, tagged
 ``reason="hedge"``, when the endpoint hands out cancellable futures), and a
 losing attempt that still completes is counted as wasted compute.  Hedging
 is exact for the same reason shed-retry is: shards are deterministic,
@@ -108,11 +109,6 @@ from repro.serve.schema import (
 
 __all__ = ["GatewayEndpoint", "InferenceGateway"]
 
-#: Hard bound on one endpoint load poll.  Polls run on the background
-#: refresher thread (never the submit path), but one wedged endpoint must
-#: not starve the refresh of its healthy siblings for longer than this.
-LOAD_POLL_TIMEOUT_S = 1.0
-
 #: Structured server errors that make a shard eligible for retry on a
 #: sibling endpoint (the server refused the work without starting it).
 _SHED_RETRY_CODES = frozenset({ERROR_OVERLOADED, ERROR_DRAINING})
@@ -140,10 +136,10 @@ class GatewayEndpoint:
     ``jobs`` attribute (a local pool), then to 1.  An explicit capacity must
     be positive — a zero-capacity endpoint could never receive a shard.
 
-    The gateway additionally tracks per-endpoint *load*: how many of its own
-    shards are currently on the endpoint (``inflight``) plus the endpoint's
-    last-polled server backlog (``load_hint``), which together discount the
-    static capacity during adaptive sharding.
+    The gateway additionally keeps per-endpoint books: how many of its own
+    shards are currently on the endpoint (``inflight``, the backlog that
+    discounts the static capacity during adaptive sharding), and how many
+    shards the endpoint straggled on (``hedges``) or shed (``sheds``).
     """
 
     target: object
@@ -156,15 +152,6 @@ class GatewayEndpoint:
     #: Gateway shards planned onto this endpoint and not yet finished
     #: (queued behind the endpoint lock, executing, or mid-retry).
     inflight: int = field(default=0, init=False, repr=False, compare=False)
-    #: Last polled remote backlog (server queue depth + inflight).
-    load_hint: float = field(default=0.0, init=False, repr=False, compare=False)
-    #: ``time.monotonic()`` of the last backlog poll.
-    load_polled_at: float = field(default=0.0, init=False, repr=False, compare=False)
-    #: Last polled ``info`` envelope (refresher-populated; what a fleet
-    #: controller reads for shed counters and lifecycle state).
-    info_hint: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
     #: Draining (graceful retirement): the planner and shed-retry skip this
     #: endpoint, but shards already placed on it run to completion.
     draining: bool = field(default=False, init=False, repr=False, compare=False)
@@ -185,6 +172,10 @@ class GatewayEndpoint:
     #: Hedges issued *against* this endpoint (its shard straggled and was
     #: duplicated elsewhere) — a fleet controller's slow-replica signal.
     hedges: int = field(default=0, init=False, repr=False, compare=False)
+    #: Shard attempts this endpoint refused with a structured ``overloaded``
+    #: error — a fleet controller's saturation signal.  ``draining``
+    #: refusals are a scale-down in progress, not load, and do not count.
+    sheds: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not hasattr(self.target, "infer"):
@@ -440,6 +431,9 @@ class _ShardRun:
         self.winner: _ShardAttempt | None = None
         self.hedged = False
         self.timer: threading.Timer | None = None
+        #: ``time.monotonic()`` at dispatch; the request deadline runs from
+        #: here, not from the primary's start (it may still be queued).
+        self.started_at = 0.0
 
     # -- launch -------------------------------------------------------------------
 
@@ -451,6 +445,7 @@ class _ShardRun:
         already shed the primary, so a duplicate could never win — a hedge
         never fires past the request deadline.
         """
+        self.started_at = time.monotonic()
         primary = _ShardAttempt(self.shard.endpoint, hedge=False)
         with self.lock:
             self.attempts.append(primary)
@@ -485,7 +480,7 @@ class _ShardRun:
         if self.deadline_s is not None:
             # Re-check at fire time: an early timer must still never hedge
             # work the deadline has already condemned.
-            if time.monotonic() - (primary.started or 0.0) >= self.deadline_s:
+            if time.monotonic() - self.started_at >= self.deadline_s:
                 return
         sibling = self.gateway._fallback_for(primary.endpoint, exclude=attempted)
         if sibling is None:
@@ -525,6 +520,9 @@ class _ShardRun:
                 return
             except RemoteServerError as exc:
                 error: BaseException = exc
+                if exc.code == ERROR_OVERLOADED:
+                    with self.gateway._load_lock:
+                        attempt.endpoint.sheds += 1
                 if exc.code in _SHED_RETRY_CODES:
                     with self.lock:
                         won = self.winner is not None
@@ -651,23 +649,12 @@ class InferenceGateway:
     ----------
     adaptive:
         When True (default), sharding weights are the endpoints' *effective*
-        capacities — the static weight discounted by the observed backlog
-        (gateway shards already on the endpoint plus the server's polled
-        queue depth): ``capacity / (1 + backlog)``.  Idle endpoints keep
-        their static weights exactly, so a quiet gateway plans the same
-        shards the static planner did.  Any shard split is result-identical
-        (sharding is exact), so adaptivity changes placement, never numbers.
-    load_poll_s:
-        Interval of the background load refresher (seconds).  The refresher
-        thread polls every endpoint's backlog on this cadence and caches
-        the hints; ``submit()`` only ever reads the cache.  Only pipelined
-        remotes (thread-safe ``info``, live ``queue_depth`` / ``inflight``
-        fields) are polled, each poll bounded by
-        :data:`LOAD_POLL_TIMEOUT_S`; other targets may export a ``load()``
-        method returning their backlog from local state, and everything
-        else contributes only the gateway's own planned-shard count.
-        :meth:`refresh_load_hints` forces one synchronous sweep (what the
-        refresher runs; handy in tests and controllers).
+        capacities — the static weight discounted by the endpoint's backlog
+        (the gateway's own shards planned onto it and not yet finished):
+        ``capacity / (1 + backlog)``.  Idle endpoints keep their static
+        weights exactly, so a quiet gateway plans the same shards the
+        static planner did.  Any shard split is result-identical (sharding
+        is exact), so adaptivity changes placement, never numbers.
     hedge_after_s:
         Fixed straggler threshold: a shard still unfinished after this many
         seconds is duplicated onto the least-loaded serving sibling; the
@@ -697,7 +684,6 @@ class InferenceGateway:
         *,
         name: str = "gateway",
         adaptive: bool = True,
-        load_poll_s: float = 0.25,
         registry: MetricsRegistry | None = None,
         hedge_after_s: float | None = None,
         hedge_percentile: float | None = None,
@@ -707,8 +693,6 @@ class InferenceGateway:
     ):
         if not endpoints:
             raise ValueError("gateway needs at least one endpoint")
-        if load_poll_s < 0:
-            raise ValueError(f"load_poll_s must be >= 0, got {load_poll_s}")
         if hedge_after_s is not None and hedge_after_s <= 0:
             raise ValueError(f"hedge_after_s must be > 0, got {hedge_after_s}")
         if hedge_percentile is not None and not 0 < hedge_percentile < 100:
@@ -719,7 +703,6 @@ class InferenceGateway:
             raise ValueError(f"retry_attempts must be >= 0, got {retry_attempts}")
         self.name = name
         self.adaptive = adaptive
-        self.load_poll_s = load_poll_s
         self.hedge_after_s = hedge_after_s
         self.hedge_percentile = hedge_percentile
         self.retry_attempts = int(retry_attempts)
@@ -773,8 +756,9 @@ class InferenceGateway:
         # Guards membership changes (add/remove/drain) against concurrent
         # planners; planners work on snapshots, so holding it is brief.
         self._membership_lock = threading.Lock()
-        # Guards the per-endpoint inflight counters and load hints (the
-        # endpoint `lock` is held for whole inferences — too coarse here).
+        # Guards the per-endpoint books (inflight, hedges, sheds) and the
+        # tail counters (the endpoint `lock` is held for whole inferences —
+        # too coarse here).
         self._load_lock = threading.Lock()
         # Sized for several batches in flight: shards of batch k+1 queue up
         # behind the per-endpoint locks while batch k still computes.
@@ -783,29 +767,13 @@ class InferenceGateway:
             thread_name_prefix="gateway",
         )
         self._closed = False
-        # Background load refresher: the ONLY place endpoint `info` is
-        # polled, so submit() can never block on a wedged endpoint.  It
-        # waits a full interval before the first sweep (an idle start plans
-        # exactly like the static planner anyway), and close() joins it.
-        self._refresh_stop = threading.Event()
-        self._refresher: threading.Thread | None = None
-        if self.adaptive:
-            self._refresher = threading.Thread(
-                target=self._refresh_loop,
-                name=f"{self.name}-load-refresh",
-                daemon=True,
-            )
-            self._refresher.start()
 
     # -- lifecycle ----------------------------------------------------------------
 
     def close(self, *, close_endpoints: bool = False) -> None:
-        """Shut down the refresher + dispatch threads; optionally endpoints too."""
+        """Shut down the dispatch threads; optionally the endpoints too."""
         if not self._closed:
             self._closed = True
-            self._refresh_stop.set()
-            if self._refresher is not None:
-                self._refresher.join(timeout=10.0)
             self._threads.shutdown(wait=True)
         if close_endpoints:
             for endpoint in self.endpoints:
@@ -891,87 +859,25 @@ class InferenceGateway:
 
     # -- load tracking ------------------------------------------------------------
 
-    def _refresh_loop(self) -> None:
-        # Clamp the busy-loop floor: load_poll_s=0 means "as fresh as
-        # possible", not "spin a core".
-        interval = max(self.load_poll_s, 0.05)
-        while not self._refresh_stop.wait(interval):
-            self.refresh_load_hints()
-
-    def refresh_load_hints(self) -> None:
-        """One synchronous backlog sweep over the current membership.
-
-        This is the refresher thread's body, exposed so tests and fleet
-        controllers can force a fresh sample instead of waiting out the
-        poll interval.  ``submit()`` itself never calls it.
-        """
-        for endpoint in self.endpoints:
-            self._poll_backlog(endpoint)
-
-    def _poll_backlog(self, endpoint: GatewayEndpoint) -> float:
-        """Refresh and return the endpoint's remote backlog hint.
-
-        Two duck-typed sources, both optional: a ``load()`` method on the
-        target (a local-state read), else a thread-safe ``info`` poll (only
-        pipelined remotes expose both ``submit`` and ``info``).
-        The info poll is bounded by :data:`LOAD_POLL_TIMEOUT_S` so one
-        wedged endpoint cannot starve its siblings' refresh.  Poll failures
-        (including timeouts) keep the previous hint: a dying endpoint's
-        shard will fail loudly on its own.
-        """
-        target = endpoint.target
-        hint: float | None = None
-        info: dict | None = None
-        loader = getattr(target, "load", None)
-        if callable(loader):
-            try:
-                hint = float(loader())
-            except Exception:  # noqa: BLE001 - load probes must never fail a plan
-                hint = None
-        elif hasattr(target, "submit") and callable(getattr(target, "info", None)):
-            try:
-                info = target.info(refresh=True, timeout=LOAD_POLL_TIMEOUT_S)
-                hint = float(info.get("queue_depth", 0)) + float(
-                    info.get("inflight", 0)
-                )
-            except Exception:  # noqa: BLE001 - load probes must never fail a plan
-                hint = None
-                info = None
-        with self._load_lock:
-            endpoint.load_polled_at = time.monotonic()
-            if hint is not None:
-                endpoint.load_hint = max(0.0, hint)
-            if info is not None:
-                endpoint.info_hint = dict(info)
-            return endpoint.load_hint
-
-    def _backlog_of(self, endpoint: GatewayEndpoint) -> float:
-        """Observed backlog: planned-but-unfinished shards + cached hint.
-
-        A pure cached read — no I/O — so every caller on the submit path
-        (planning, shed-retry fallback selection) stays non-blocking.
-        """
-        with self._load_lock:
-            return float(endpoint.inflight) + float(endpoint.load_hint)
-
     def endpoint_loads(self) -> dict[str, dict[str, object]]:
-        """Per-endpoint load snapshot (cached; safe to call from anywhere).
+        """Per-endpoint books snapshot (no I/O; safe to call from anywhere).
 
-        What a fleet controller samples: the gateway-side planned-shard
-        count, the refresher's last server hint and ``info`` envelope, and
-        the draining flag.
+        What a fleet controller samples: the backlog (the gateway's own
+        planned-but-unfinished shard count, also reported as
+        ``inflight``), the draining flag, and the cumulative ``hedges``
+        (shards that straggled here) and ``sheds`` (shard attempts refused
+        as ``overloaded``) counters.
         """
         snapshot = self.endpoints
         loads: dict[str, dict[str, object]] = {}
         with self._load_lock:
             for endpoint in snapshot:
                 loads[endpoint.name] = {
-                    "backlog": float(endpoint.inflight) + float(endpoint.load_hint),
+                    "backlog": float(endpoint.inflight),
                     "inflight": int(endpoint.inflight),
-                    "load_hint": float(endpoint.load_hint),
                     "draining": bool(endpoint.draining),
                     "hedges": int(endpoint.hedges),
-                    "info": dict(endpoint.info_hint),
+                    "sheds": int(endpoint.sheds),
                 }
         return loads
 
@@ -979,7 +885,7 @@ class InferenceGateway:
         """Static weight discounted by backlog (equal to it when idle)."""
         if not self.adaptive:
             return float(endpoint.capacity)
-        return float(endpoint.capacity) / (1.0 + self._backlog_of(endpoint))
+        return float(endpoint.capacity) / (1.0 + endpoint.inflight)
 
     # -- sharding -----------------------------------------------------------------
 
@@ -992,7 +898,7 @@ class InferenceGateway:
         """Load-aware contiguous shards covering ``[0, batch)`` exactly.
 
         Weights are the endpoints' effective capacities (static capacity
-        discounted by cached backlog; see the class docstring) — on idle
+        discounted by backlog; see the class docstring) — on idle
         endpoints this is exactly the historical static capacity plan.
         Cumulative rounding keeps the boundaries monotone and the final
         boundary equal to ``batch``; endpoints whose rounded share is empty
@@ -1142,7 +1048,7 @@ class InferenceGateway:
             return None
         # Least backlog first; static capacity breaks ties (deterministic:
         # min() keeps the earliest endpoint on full ties).
-        return min(candidates, key=lambda e: (self._backlog_of(e), -e.capacity))
+        return min(candidates, key=lambda e: (e.inflight, -e.capacity))
 
     def submit(
         self, request: InferenceRequest, *, deadline_s: float | None = None

@@ -10,9 +10,9 @@ One object owns the whole elastic serving fleet:
   then drains the server (it answers everything admitted), then removes the
   endpoint once the process exited;
 * a :class:`~repro.serve.fleet.controller.FleetController` samples the
-  gateway's cached per-endpoint load (the background refresher's numbers —
-  no extra RPC on the control path) plus each replica's polled shed
-  counters, and scales within the policy bounds.
+  gateway's own per-endpoint books — backlog, shed and hedge counts, kept
+  as shards are planned and answered, so the control path makes no RPC —
+  and scales within the policy bounds.
 
 Exactness is inherited, not re-proven: membership changes alter shard
 *placement* only, and shard-stable encoding makes every placement
@@ -52,8 +52,6 @@ class ElasticFleet:
     start_controller:
         Run the control loop on a background thread (default).  Pass False
         to drive :attr:`controller` manually (deterministic tests).
-    gateway_load_poll_s:
-        Interval of the gateway's background load refresher.
     hedge_after_s / hedge_percentile:
         Straggler-hedging knobs handed to the gateway (see
         :class:`InferenceGateway`): a shard stuck on a slow replica past
@@ -70,7 +68,6 @@ class ElasticFleet:
         policy: FleetPolicy | None = None,
         name: str = "fleet",
         start_controller: bool = True,
-        gateway_load_poll_s: float = 0.25,
         hedge_after_s: float | None = None,
         hedge_percentile: float | None = None,
         start_method: str | None = None,
@@ -91,7 +88,6 @@ class ElasticFleet:
         self.gateway = InferenceGateway(
             [self._as_endpoint(replica) for replica in replicas],
             name=name,
-            load_poll_s=gateway_load_poll_s,
             hedge_after_s=hedge_after_s,
             hedge_percentile=hedge_percentile,
         )
@@ -112,12 +108,11 @@ class ElasticFleet:
     def load_signals(self) -> list[dict[str, object]]:
         """One load sample per replica for the controller.
 
-        Backlog comes from the gateway's cache — its planned-shard count
-        per endpoint plus the background refresher's last server hint — so
-        sampling is RPC-free; the shed counter rides the same refresher's
-        cached ``info`` envelope, and the hedge counter is the gateway's
-        own per-endpoint hedged-against count (a straggling replica draws
-        hedges, which the controller prices into pressure).
+        Every number is the gateway's own per-endpoint book, so sampling
+        is RPC-free: ``backlog`` is its planned-but-unfinished shard count,
+        ``shed`` the shard attempts the replica refused as ``overloaded``,
+        and ``hedges`` the shards that straggled there (a slow replica
+        draws hedges, which the controller prices into pressure).
         """
         loads = self.gateway.endpoint_loads()
         signals: list[dict[str, object]] = []
@@ -125,14 +120,12 @@ class ElasticFleet:
             load = loads.get(replica.replica_id)
             if load is None or load["draining"]:
                 continue
-            info = load.get("info") or {}
-            stats = info.get("stats") or {}
             signals.append(
                 {
                     "replica_id": replica.replica_id,
                     "backlog": float(load["backlog"]),
-                    "shed": int(stats.get("shed", 0)),
-                    "hedges": int(load.get("hedges", 0)),
+                    "shed": int(load["sheds"]),
+                    "hedges": int(load["hedges"]),
                 }
             )
         return signals
@@ -201,7 +194,7 @@ class ElasticFleet:
             load = loads.get(replica.replica_id)
             if load is not None:
                 entry["backlog"] = load["backlog"]
-                entry["state"] = (load.get("info") or {}).get("state", "unknown")
+                entry["state"] = "draining" if load["draining"] else "serving"
             replicas.append(entry)
         return {
             "name": self.name,

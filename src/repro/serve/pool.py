@@ -55,12 +55,13 @@ class ChipPool:
     executor:
         Worker strategy: ``"inline"`` (sequential, debugging baseline),
         ``"thread"`` (default; NumPy kernels release the GIL) or
-        ``"process"`` (one chip per worker process, requests shipped through
-        the JSON schema).  A :class:`ShardExecutor` instance is also
-        accepted.  All executors return identical results.  A ``jobs=1``
-        pool never shards, so no workers are provisioned and the executor
-        choice is effectively ``inline`` (a process worker would program a
-        chip that is never consulted).
+        ``"process"`` (one chip per worker process; shard arrays move
+        through shared memory, only scalar fields as compact JSON).  A
+        :class:`ShardExecutor` instance is also accepted.  All executors
+        return identical results.  A ``jobs=1`` pool never shards, so no
+        workers are provisioned and the executor choice is effectively
+        ``inline`` (a process worker would program a chip that is never
+        consulted).
     """
 
     def __init__(

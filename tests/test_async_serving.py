@@ -1095,22 +1095,6 @@ class TestAsyncGateway:
             _assert_identical(want, got)
 
 
-class _BackloggedTarget:
-    """Local session reporting a scripted backlog through the load() hook."""
-
-    capacity = 1
-
-    def __init__(self, session: ChipSession, backlog: float):
-        self._session = session
-        self.backlog = backlog
-
-    def load(self) -> float:
-        return self.backlog
-
-    def infer(self, request):
-        return self._session.infer(request)
-
-
 class _SheddingTarget:
     """Endpoint whose server always sheds (structured overloaded error)."""
 
@@ -1127,27 +1111,6 @@ class _SheddingTarget:
         )
 
 
-class _InfoProbeRecorder:
-    """A pipelined-remote-shaped target recording how its info is polled."""
-
-    capacity = 1
-    submit = None  # pipelined marker: presence makes the target pollable
-
-    def __init__(self, session: ChipSession):
-        self._session = session
-        self.timeouts: list[float | None] = []
-        self.fail_polls = False
-
-    def info(self, refresh: bool = False, *, timeout: float | None = None):
-        self.timeouts.append(timeout)
-        if self.fail_polls:
-            raise TimeoutError("wedged endpoint never answered info")
-        return {"queue_depth": 2, "inflight": 1}
-
-    def infer(self, request):
-        return self._session.infer(request)
-
-
 class _DeadlineRecorder:
     """Endpoint recording the deadline_s its infer() receives."""
 
@@ -1162,44 +1125,82 @@ class _DeadlineRecorder:
         return self._session.infer(request)
 
 
+def _hold_shards(gateway, gate, request, gated: str, count: int):
+    """Submit ``count`` batches and wait until ``gated`` holds one shard each.
+
+    The gate keeps every shard on the gated endpoint unfinished; the wait
+    lets the other endpoints' shards finish, so the gateway's books show
+    backlog on the gated endpoint only.  Returns the pending futures.
+    """
+    futures = [gateway.submit(request) for _ in range(count)]
+    assert gate.entered.wait(timeout=30)
+    deadline = time.monotonic() + 30
+    while True:
+        loads = gateway.endpoint_loads()
+        if all(
+            load["inflight"] == (count if name == gated else 0)
+            for name, load in loads.items()
+        ):
+            return futures
+        assert time.monotonic() < deadline, f"backlog never settled: {loads}"
+        time.sleep(0.01)
+
+
 class TestAdaptiveGateway:
     def test_backlogged_endpoint_receives_fewer_samples(
         self, workload, single_session
     ):
+        # The backlog is the gateway's own books: shards it placed on an
+        # endpoint and has not seen finish.  Hold three on a gated one.
         _, _, inputs, labels = workload
-        idle = _BackloggedTarget(_fresh_session(workload), backlog=0.0)
-        busy = _BackloggedTarget(_fresh_session(workload), backlog=3.0)
+        gate = _GateTarget(_fresh_session(workload))
+        request = InferenceRequest(inputs=inputs[:12])
         with InferenceGateway(
             [
-                GatewayEndpoint(target=idle, capacity=1, name="idle"),
-                GatewayEndpoint(target=busy, capacity=1, name="busy"),
+                GatewayEndpoint(
+                    target=_fresh_session(workload), capacity=1, name="idle"
+                ),
+                GatewayEndpoint(target=gate, capacity=1, name="busy"),
             ],
-            load_poll_s=3600.0,
         ) as gateway:
-            # Hints come from the background refresher, never the submit
-            # path; force one sweep so the plan sees the scripted backlog.
-            gateway.refresh_load_hints()
-            plan = gateway.shard_plan(12)
-            sizes = {p.endpoint.name: p.stop - p.start for p in plan}
-            # Effective capacities 1 vs 1/4: the busy endpoint's share drops
-            # from the static 6 to round(12 * 0.2) ≈ 2.
-            assert sizes["idle"] > sizes["busy"]
+            try:
+                held = _hold_shards(gateway, gate, request, "busy", 3)
+                plan = gateway.shard_plan(12)
+                sizes = {p.endpoint.name: p.stop - p.start for p in plan}
+                # Effective capacities 1 vs 1/4: the busy endpoint's share
+                # drops from the static 6 to round(12 * 0.2) = 2.
+                assert sizes == {"idle": 10, "busy": 2}
+            finally:
+                gate.release.set()
             # Adaptivity changes placement, never numbers.
-            request = InferenceRequest(inputs=inputs, labels=labels)
-            _assert_identical(single_session.infer(request), gateway.infer(request))
+            expected = single_session.infer(request)
+            for future in held:
+                _assert_identical(expected, future.result(timeout=60))
+            full = InferenceRequest(inputs=inputs, labels=labels)
+            _assert_identical(single_session.infer(full), gateway.infer(full))
 
-    def test_adaptive_off_restores_static_plan(self, workload):
-        idle = _BackloggedTarget(_fresh_session(workload), backlog=0.0)
-        busy = _BackloggedTarget(_fresh_session(workload), backlog=9.0)
+    def test_adaptive_off_restores_static_plan(self, workload, single_session):
+        _, _, inputs, _ = workload
+        gate = _GateTarget(_fresh_session(workload))
+        request = InferenceRequest(inputs=inputs[:12])
         with InferenceGateway(
             [
-                GatewayEndpoint(target=idle, capacity=1, name="idle"),
-                GatewayEndpoint(target=busy, capacity=1, name="busy"),
+                GatewayEndpoint(
+                    target=_fresh_session(workload), capacity=1, name="idle"
+                ),
+                GatewayEndpoint(target=gate, capacity=1, name="busy"),
             ],
             adaptive=False,
         ) as gateway:
-            plan = gateway.shard_plan(12)
-            assert [(p.start, p.stop) for p in plan] == [(0, 6), (6, 12)]
+            try:
+                held = _hold_shards(gateway, gate, request, "busy", 3)
+                plan = gateway.shard_plan(12)
+                assert [(p.start, p.stop) for p in plan] == [(0, 6), (6, 12)]
+            finally:
+                gate.release.set()
+            expected = single_session.infer(request)
+            for future in held:
+                _assert_identical(expected, future.result(timeout=60))
 
     def test_idle_endpoints_keep_the_static_plan(self, workload):
         # Zero backlog everywhere: adaptive must plan exactly like the
@@ -1215,38 +1216,6 @@ class TestAdaptiveGateway:
             plan = gateway.shard_plan(13)
             assert [(p.start, p.stop) for p in plan] == [(0, 3), (3, 13)]
 
-    def test_load_polls_are_bounded_and_poll_failures_keep_planning(self, workload):
-        # The info poll runs on the background refresher: it must carry a
-        # hard timeout (one wedged endpoint may not starve the sweep), a
-        # failed poll must keep the previous hint rather than failing the
-        # plan, and planning itself must never poll.
-        from repro.serve.distributed.gateway import LOAD_POLL_TIMEOUT_S
-
-        probe = _InfoProbeRecorder(_fresh_session(workload))
-        other = _fresh_session(workload)
-        with InferenceGateway(
-            [
-                GatewayEndpoint(target=probe, capacity=1, name="probed"),
-                GatewayEndpoint(target=other, capacity=1, name="plain"),
-            ],
-            load_poll_s=3600.0,  # the manual sweeps below are the only polls
-        ) as gateway:
-            gateway.refresh_load_hints()
-            plan = gateway.shard_plan(12)
-            assert probe.timeouts == [LOAD_POLL_TIMEOUT_S]
-            sizes = {p.endpoint.name: p.stop - p.start for p in plan}
-            # Polled backlog 3 discounts the probed endpoint: 1/(1+3) vs 1.
-            assert sizes["plain"] > sizes["probed"]
-            probe.fail_polls = True
-            gateway.refresh_load_hints()  # hint survives the failed poll
-            plan = gateway.shard_plan(12)
-            sizes = {p.endpoint.name: p.stop - p.start for p in plan}
-            assert sizes["plain"] > sizes["probed"]
-            assert len(probe.timeouts) == 2
-            # shard_plan alone never touched the endpoint's info.
-            gateway.shard_plan(12)
-            assert len(probe.timeouts) == 2
-
     def test_shed_shard_retries_on_other_endpoint(self, workload, single_session):
         _, _, inputs, labels = workload
         shedder = _SheddingTarget()
@@ -1259,8 +1228,12 @@ class TestAdaptiveGateway:
             ]
         ) as gateway:
             response = gateway.infer(request)
+            loads = gateway.endpoint_loads()
         _assert_identical(single_session.infer(request), response)
         assert shedder.calls == 1, "shed shard retried on the shedding endpoint"
+        # The gateway books the ``overloaded`` refusal against the shedder.
+        assert loads["flaky"]["sheds"] == 1
+        assert loads["good"]["sheds"] == 0
         retried = [
             s for s in response.metadata["shards"] if s.get("retried_from") == "flaky"
         ]

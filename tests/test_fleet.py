@@ -12,8 +12,8 @@ may change *placement* and *throughput*, never numbers:
   no in-flight request is ever failed by a scale-down;
 * **dynamic gateway membership**: endpoints join, drain and leave while
   batches are in flight, with every merged response bit-identical to the
-  single-session run, and ``submit()`` never polling an endpoint
-  synchronously;
+  single-session run, and the gateway never polling an endpoint (it keeps
+  its own books and starts no background thread);
 * the **autoscaling controller**: EWMA pressure + hysteresis, proven
   deterministic against a scripted fleet and an injected clock, then live
   against real replica processes under a synthetic-latency flood.
@@ -243,7 +243,6 @@ class TestGatewayMembership:
                 GatewayEndpoint(target=_fresh_session(workload), name="b"),
             ],
             name="membership",
-            load_poll_s=3600.0,
         )
         with gateway:
             _assert_identical(expected, gateway.infer(request))
@@ -270,7 +269,6 @@ class TestGatewayMembership:
         with InferenceGateway(
             [GatewayEndpoint(target=_fresh_session(workload), name="a")],
             name="unknown-name",
-            load_poll_s=3600.0,
         ) as gateway:
             with pytest.raises(KeyError):
                 gateway.drain_endpoint("nope")
@@ -295,7 +293,6 @@ class TestGatewayMembership:
                 GatewayEndpoint(target=_fresh_session(workload), name="plain"),
             ],
             name="inflight-drain",
-            load_poll_s=3600.0,
         ) as gateway:
             future = gateway.submit(request)
             assert gate.entered.wait(timeout=30)
@@ -334,10 +331,14 @@ class TestGatewayMembership:
                 GatewayEndpoint(target=_fresh_session(workload), name="sibling"),
             ],
             name="drain-shed",
-            load_poll_s=3600.0,
         ) as gateway:
             response = gateway.infer(request)
+            loads = gateway.endpoint_loads()
         assert draining.calls == 1
+        # A ``draining`` refusal is a scale-down in progress, not load: like
+        # the server's own ``stats.shed``, the gateway does not count it.
+        assert loads["retiring"]["sheds"] == 0
+        assert loads["sibling"]["sheds"] == 0
         _assert_identical(expected, response)
         retried = [
             shard
@@ -346,13 +347,13 @@ class TestGatewayMembership:
         ]
         assert retried, f"expected a retried shard: {response.metadata}"
 
-    def test_submit_never_polls_endpoints_synchronously(self, workload):
-        """The submit path reads cached hints only; polls live on the refresher."""
+    def test_gateway_never_calls_endpoint_info(self, workload):
+        """The gateway keeps its own books: no ``info`` poll, ever."""
         _, _, inputs, _ = workload
 
-        class _PollRecorder:
+        class _InfoRecorder:
             capacity = 1
-            submit = None  # pipelined marker: presence makes the target pollable
+            submit = None  # pipelined-remote shape: ``submit`` beside ``info``
 
             def __init__(self, session):
                 self._session = session
@@ -366,43 +367,49 @@ class TestGatewayMembership:
                 return self._session.infer(request)
 
         recorders = [
-            _PollRecorder(_fresh_session(workload)),
-            _PollRecorder(_fresh_session(workload)),
+            _InfoRecorder(_fresh_session(workload)),
+            _InfoRecorder(_fresh_session(workload)),
         ]
         with InferenceGateway(
             [
                 GatewayEndpoint(target=recorder, name=f"r{i}")
                 for i, recorder in enumerate(recorders)
             ],
-            name="no-sync-polls",
-            load_poll_s=3600.0,
+            name="no-info-polls",
         ) as gateway:
             for _ in range(3):
                 gateway.infer(InferenceRequest(inputs=inputs[:8]))
-            assert [r.polls for r in recorders] == [0, 0], (
-                "submit() must never poll an endpoint synchronously"
-            )
-            gateway.refresh_load_hints()
-            assert [r.polls for r in recorders] == [1, 1]
+            # Stay idle a while: nothing may poll in the background either.
+            time.sleep(0.4)
+            gateway.endpoint_loads()
+        assert [r.polls for r in recorders] == [0, 0], (
+            "the gateway must never call an endpoint's info"
+        )
 
-    def test_close_joins_the_load_refresher(self, workload):
-        """No daemon-thread leak: close() stops and joins the refresher."""
-        for cycle in range(3):
-            name = f"refresh-close-{cycle}"
-            gateway = InferenceGateway(
-                [GatewayEndpoint(target=_fresh_session(workload), name="a")],
+    def test_gateway_starts_no_thread_until_dispatch(self, workload):
+        """An idle gateway runs no thread; close() joins the dispatch pool."""
+        _, _, inputs, _ = workload
+
+        def gateway(name):
+            return InferenceGateway(
+                [
+                    GatewayEndpoint(target=_fresh_session(workload), name="a"),
+                    GatewayEndpoint(target=_fresh_session(workload), name="b"),
+                ],
                 name=name,
-                load_poll_s=0.01,
             )
-            thread_name = f"{name}-load-refresh"
-            assert any(
-                t.name == thread_name for t in threading.enumerate()
-            ), "adaptive gateway must run a load refresher"
-            gateway.close()
-            assert not any(
-                t.name == thread_name and t.is_alive()
-                for t in threading.enumerate()
-            ), "close() must join the refresher thread"
+
+        before = set(threading.enumerate())
+        idle = gateway("idle")
+        assert set(threading.enumerate()) <= before, (
+            "constructing a gateway must start no thread"
+        )
+        idle.close()
+        busy = gateway("busy")
+        busy.infer(InferenceRequest(inputs=inputs[:8]))
+        busy.close()
+        leaked = [t for t in threading.enumerate() if t not in before]
+        assert leaked == [], f"close() left gateway threads running: {leaked}"
 
 
 # -- the autoscaling controller (scripted, deterministic) ---------------------------
@@ -585,7 +592,7 @@ class TestElasticFleet:
         expected = {offset: serial.infer(request) for offset, request in
                     {r.sample_offset: r for r in requests}.items()}
         with ElasticFleet(
-            spec, policy=policy, name="live-fleet", gateway_load_poll_s=0.05
+            spec, policy=policy, name="live-fleet"
         ) as fleet:
             assert fleet.replica_count() == 1
             futures = [fleet.submit(request) for request in requests]

@@ -7,7 +7,8 @@ The invariants under test:
   with the hedge recorded in counters, response metadata and the
   per-endpoint hedged-against load signal;
 * a hedge never fires past the request deadline (the timer is simply not
-  armed when the threshold cannot precede it);
+  armed when the threshold cannot precede it), and the deadline runs from
+  dispatch, so a shard still queued for a dispatch thread is hedged too;
 * cancelling the losing attempt is best-effort — a broken cancel channel
   must never fail a request the winner already answered;
 * shed/drain retries draw from one per-request :class:`RetryBudget`; when
@@ -162,6 +163,60 @@ class TestHedgedDispatch:
             assert gateway.endpoint_loads()["straggler"]["hedges"] == 0
         finally:
             slow.release.set()
+            _drain_inflight(gateway)
+            gateway.close()
+
+    def test_queued_shard_is_hedged_under_a_deadline(self, workload):
+        """A primary still queued in the dispatch pool is a straggler too.
+
+        The deadline runs from dispatch, so a shard that never got a
+        dispatch thread is hedged like one blocked on its endpoint.
+        """
+        snn, config, inputs = workload
+        serial = _session(workload)
+        # Capacity 3:1 puts every one-sample request wholly on the
+        # straggler.  The two-endpoint gateway has 4 dispatch threads, so
+        # the first 4 primaries block on the gate (or its endpoint lock)
+        # and the rest stay queued in the pool when their timers fire.
+        requests = [
+            InferenceRequest(inputs=inputs[i : i + 1], sample_offset=i)
+            for i in range(len(inputs))
+        ]
+        expected = [serial.infer(request) for request in requests]
+        gate = _GatedTarget(_session(workload))
+        gateway = InferenceGateway(
+            [
+                GatewayEndpoint(target=gate, capacity=3, name="straggler"),
+                GatewayEndpoint(target=_session(workload), capacity=1, name="sibling"),
+            ],
+            adaptive=False,
+            hedge_after_s=0.02,
+        )
+        try:
+            futures = [
+                gateway.submit(request, deadline_s=60.0) for request in requests
+            ]
+            deadline = time.monotonic() + 10
+            while gateway.tail_stats()["hedges_issued"] < len(requests):
+                assert time.monotonic() < deadline, (
+                    f"queued shards were never hedged: {gateway.tail_stats()}"
+                )
+                time.sleep(0.01)
+            gate.release.set()
+            for want, future in zip(expected, futures):
+                response = future.result(timeout=60)
+                np.testing.assert_array_equal(response.predictions, want.predictions)
+                np.testing.assert_array_equal(
+                    response.spike_counts, want.spike_counts
+                )
+                assert response.energy.total_j == pytest.approx(
+                    want.energy.total_j, rel=1e-9
+                )
+                [shard] = response.metadata["shards"]
+                assert shard["hedged_to"] == "sibling"
+            assert gateway.endpoint_loads()["straggler"]["hedges"] == len(requests)
+        finally:
+            gate.release.set()
             _drain_inflight(gateway)
             gateway.close()
 
