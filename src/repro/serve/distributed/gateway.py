@@ -13,15 +13,17 @@ capacity-1 session, via cumulative rounding so the contiguous shard sizes
 always sum to the batch exactly — but the static weight is discounted by the
 endpoint's backlog, which the gateway keeps itself: the shards planned onto
 the endpoint and not yet finished.  A congested endpoint thus receives less
-of each new batch instead of stretching its queue further.  The gateway
-never asks an endpoint for its load — no ``info`` poll, no background
-thread: a gateway-fronted server is expected to serve that gateway alone
-(every deployment in this package does), so its queue holds nothing the
-gateway has not already counted.  A shard that an overloaded or draining
-server *sheds* (structured ``overloaded`` / ``draining`` error) is retried
-on the least-loaded sibling endpoint within the request's
-:class:`~repro.serve.retry.RetryBudget` (jittered backoff between hops;
-exhaustion surfaces as a structured
+of each new batch instead of stretching its queue further, and a shard still
+waiting for its endpoint moves to a serving endpoint that holds none of the
+gateway's shards — so a replica that joins mid-burst takes work admitted
+before it existed.  The gateway never asks an endpoint for its load — no
+``info`` poll, no background thread: a gateway-fronted server is expected to
+serve that gateway alone (every deployment in this package does), so its
+queue holds nothing the gateway has not already counted.  A shard that an
+overloaded or draining server *sheds* (structured ``overloaded`` /
+``draining`` error) is retried on the least-loaded sibling endpoint within
+the request's :class:`~repro.serve.retry.RetryBudget` (jittered backoff
+between hops; exhaustion surfaces as a structured
 :class:`~repro.serve.retry.RetryBudgetExhausted`), and per-request deadlines
 propagate to every endpoint that understands them.
 
@@ -59,11 +61,12 @@ Membership is **dynamic**: :meth:`InferenceGateway.add_endpoint`,
 :meth:`~InferenceGateway.drain_endpoint` and
 :meth:`~InferenceGateway.remove_endpoint` change the fleet while batches are
 in flight.  A shard plan holds direct references to its endpoints, so
-in-flight batches always complete against the endpoints they were planned
-on; the next ``submit()`` sees the updated membership.  Draining endpoints
-are skipped by the planner (and by shed-retry) but keep serving the shards
-already placed on them — exactly the handshake a fleet controller needs to
-retire a replica without failing work.
+in-flight batches complete against the endpoints they were planned on — or,
+for a shard that was still waiting, against the idle endpoint it moved to;
+the next ``submit()`` sees the updated membership.  Draining endpoints are
+skipped by the planner (and by shed-retry and moves) but keep serving the
+shards already placed on them — exactly the handshake a fleet controller
+needs to retire a replica without failing work.
 
 The merge is exact: predictions and spike counts concatenate per-sample,
 event counters sum, and the energy report is the component-wise sum of the
@@ -152,8 +155,8 @@ class GatewayEndpoint:
     #: Gateway shards planned onto this endpoint and not yet finished
     #: (queued behind the endpoint lock, executing, or mid-retry).
     inflight: int = field(default=0, init=False, repr=False, compare=False)
-    #: Draining (graceful retirement): the planner and shed-retry skip this
-    #: endpoint, but shards already placed on it run to completion.
+    #: Draining (graceful retirement): the planner, shed-retry and moves
+    #: skip this endpoint, but shards already placed on it run to completion.
     draining: bool = field(default=False, init=False, repr=False, compare=False)
     #: Whether ``target.infer`` accepts a ``deadline_s`` keyword (remote
     #: sessions do; local sessions execute immediately, so there is nothing
@@ -386,12 +389,16 @@ class _MergeState:
 class _ShardAttempt:
     """One dispatch of a shard onto one endpoint (primary or hedge)."""
 
-    __slots__ = ("endpoint", "hedge", "started", "task", "wire_future", "ended")
+    __slots__ = (
+        "endpoint", "hedge", "started", "task", "wire_future", "ended", "refused"
+    )
 
     def __init__(self, endpoint: GatewayEndpoint, *, hedge: bool):
         self.endpoint = endpoint
         self.hedge = hedge
         self.started: float | None = None
+        #: Endpoints that shed this attempt: it never moves back to them.
+        self.refused: list[GatewayEndpoint] = []
         #: The dispatch pool task running this attempt (cancellable only
         #: while still queued).
         self.task: Future | None = None
@@ -524,6 +531,7 @@ class _ShardRun:
                     with self.gateway._load_lock:
                         attempt.endpoint.sheds += 1
                 if exc.code in _SHED_RETRY_CODES:
+                    attempt.refused.append(attempt.endpoint)
                     with self.lock:
                         won = self.winner is not None
                     if not won:
@@ -565,6 +573,7 @@ class _ShardRun:
         with self.gateway._load_lock:
             attempt.endpoint.inflight -= 1
             fallback.inflight += 1
+            self.gateway._load_lock.notify_all()
         with self.lock:
             if not attempt.hedge and self.shard.retried_from is None:
                 self.shard.retried_from = attempt.endpoint.name
@@ -583,6 +592,7 @@ class _ShardRun:
             attempt.ended = True
         with self.gateway._load_lock:
             attempt.endpoint.inflight -= 1
+            self.gateway._load_lock.notify_all()
 
     def _attempt_finished(
         self, attempt: _ShardAttempt, response: InferenceResponse
@@ -653,8 +663,11 @@ class InferenceGateway:
         (the gateway's own shards planned onto it and not yet finished):
         ``capacity / (1 + backlog)``.  Idle endpoints keep their static
         weights exactly, so a quiet gateway plans the same shards the
-        static planner did.  Any shard split is result-identical (sharding
-        is exact), so adaptivity changes placement, never numbers.
+        static planner did.  A shard waiting for its busy endpoint also
+        moves to any serving endpoint with no backlog at all.  Any
+        placement is result-identical (sharding is exact), so adaptivity
+        changes placement, never numbers; False pins every shard to the
+        static capacity plan.
     hedge_after_s:
         Fixed straggler threshold: a shard still unfinished after this many
         seconds is duplicated onto the least-loaded serving sibling; the
@@ -758,8 +771,12 @@ class InferenceGateway:
         self._membership_lock = threading.Lock()
         # Guards the per-endpoint books (inflight, hedges, sheds) and the
         # tail counters (the endpoint `lock` is held for whole inferences —
-        # too coarse here).
-        self._load_lock = threading.Lock()
+        # too coarse here).  Notified whenever an endpoint may have freed
+        # up: its lock released, its backlog shrunk, or a new one joined.
+        self._load_lock = threading.Condition()
+        #: Attempts waiting for an endpoint, in arrival order (guarded by
+        #: _load_lock): each endpoint goes to the earliest one that can take it.
+        self._waiting: list[_ShardAttempt] = []
         # Sized for several batches in flight: shards of batch k+1 queue up
         # behind the per-endpoint locks while batch k still computes.
         self._threads = ThreadPoolExecutor(
@@ -804,8 +821,9 @@ class InferenceGateway:
     ) -> GatewayEndpoint:
         """Join an endpoint to the fleet; the next ``submit()`` can use it.
 
-        In-flight batches are untouched (their plans hold endpoint
-        references).  Endpoint names must be unique — they are what
+        An adaptive gateway also moves shards still waiting on a busy
+        endpoint here while it has nothing else to do; other in-flight work
+        keeps its plan.  Endpoint names must be unique — they are what
         :meth:`drain_endpoint` / :meth:`remove_endpoint` address.
         """
         endpoint = (
@@ -827,6 +845,9 @@ class InferenceGateway:
             self._threads._max_workers = max(
                 self._threads._max_workers, 4, 2 * len(self._endpoints)
             )
+        # Shards waiting on a busy endpoint may move here (adaptive).
+        with self._load_lock:
+            self._load_lock.notify_all()
         return endpoint
 
     def drain_endpoint(self, name: str) -> GatewayEndpoint:
@@ -862,19 +883,18 @@ class InferenceGateway:
     def endpoint_loads(self) -> dict[str, dict[str, object]]:
         """Per-endpoint books snapshot (no I/O; safe to call from anywhere).
 
-        What a fleet controller samples: the backlog (the gateway's own
-        planned-but-unfinished shard count, also reported as
-        ``inflight``), the draining flag, and the cumulative ``hedges``
-        (shards that straggled here) and ``sheds`` (shard attempts refused
-        as ``overloaded``) counters.
+        What a fleet controller samples: the ``backlog`` (the gateway's own
+        count of shards planned onto the endpoint and not yet finished),
+        the draining flag, and the cumulative ``hedges`` (shards that
+        straggled here) and ``sheds`` (shard attempts refused as
+        ``overloaded``) counters.
         """
         snapshot = self.endpoints
         loads: dict[str, dict[str, object]] = {}
         with self._load_lock:
             for endpoint in snapshot:
                 loads[endpoint.name] = {
-                    "backlog": float(endpoint.inflight),
-                    "inflight": int(endpoint.inflight),
+                    "backlog": int(endpoint.inflight),
                     "draining": bool(endpoint.draining),
                     "hedges": int(endpoint.hedges),
                     "sheds": int(endpoint.sheds),
@@ -975,6 +995,54 @@ class InferenceGateway:
 
     # -- inference ----------------------------------------------------------------
 
+    def _claim_endpoint(self, attempt: _ShardAttempt) -> GatewayEndpoint:
+        """Wait in line for the attempt's endpoint — or move to an idle one.
+
+        Attempts take endpoints in arrival order: none overtakes an earlier
+        one waiting for the same endpoint.  A waiting shard is not bound to
+        its endpoint either: when the gateway is adaptive and another
+        serving endpoint holds none of its shards (typically a replica that
+        joined after the plan was made), the earliest attempt that may run
+        there moves, inflight charge and all.  An idle endpoint holds no
+        attempt of this shard, so a move never doubles one up.  Placement
+        changes, numbers do not: shards are exact wherever they run.
+        """
+        with self._load_lock:
+            self._waiting.append(attempt)
+            try:
+                while True:
+                    endpoint = self._grant(attempt)
+                    if endpoint is not None:
+                        return endpoint
+                    self._load_lock.wait()
+            finally:
+                self._waiting.remove(attempt)
+                # Whoever queued behind this attempt may be next in line.
+                self._load_lock.notify_all()
+
+    def _grant(self, attempt: _ShardAttempt) -> GatewayEndpoint | None:
+        """The endpoint ``attempt`` may run on now, locked, or None."""
+        ahead = self._waiting[: self._waiting.index(attempt)]
+        endpoint = attempt.endpoint
+        if all(a.endpoint is not endpoint for a in ahead) and endpoint.lock.acquire(
+            blocking=False
+        ):
+            return endpoint
+        if not self.adaptive:
+            return None
+        for idle in self._serving_endpoints():
+            if (
+                idle.inflight == 0
+                and all(idle is not e for e in attempt.refused)
+                and all(any(idle is e for e in a.refused) for a in ahead)
+                and idle.lock.acquire(blocking=False)
+            ):
+                endpoint.inflight -= 1
+                idle.inflight += 1
+                attempt.endpoint = idle
+                return idle
+        return None
+
     def _infer_on_attempt(
         self,
         attempt: _ShardAttempt,
@@ -986,8 +1054,8 @@ class InferenceGateway:
         # and most targets' infer() is not reentrant.  The inflight counter
         # is maintained by plan-time accounting and the attempt lifecycle,
         # not here, so queued-but-unstarted shards count too.
-        endpoint = attempt.endpoint
-        with endpoint.lock:
+        endpoint = self._claim_endpoint(attempt)
+        try:
             if endpoint.supports_submit:
                 # Dispatch through submit() so the in-flight work has a
                 # cancellable handle: if this attempt loses a hedge race,
@@ -1007,6 +1075,10 @@ class InferenceGateway:
             if deadline_s is not None and endpoint.supports_deadline:
                 return endpoint.target.infer(sub_request, deadline_s=deadline_s)
             return endpoint.target.infer(sub_request)
+        finally:
+            endpoint.lock.release()
+            with self._load_lock:
+                self._load_lock.notify_all()
 
     def _cancel_attempt(self, attempt: _ShardAttempt) -> bool:
         """Best-effort revocation of a losing attempt; never raises.

@@ -1130,7 +1130,9 @@ def _hold_shards(gateway, gate, request, gated: str, count: int):
 
     The gate keeps every shard on the gated endpoint unfinished; the wait
     lets the other endpoints' shards finish, so the gateway's books show
-    backlog on the gated endpoint only.  Returns the pending futures.
+    backlog on the gated endpoint only.  Returns the pending futures.  (An
+    adaptive gateway moves waiting shards to an idle endpoint, so there a
+    gated endpoint only ever keeps the one shard it is running.)
     """
     futures = [gateway.submit(request) for _ in range(count)]
     assert gate.entered.wait(timeout=30)
@@ -1138,7 +1140,7 @@ def _hold_shards(gateway, gate, request, gated: str, count: int):
     while True:
         loads = gateway.endpoint_loads()
         if all(
-            load["inflight"] == (count if name == gated else 0)
+            load["backlog"] == (count if name == gated else 0)
             for name, load in loads.items()
         ):
             return futures
@@ -1151,7 +1153,7 @@ class TestAdaptiveGateway:
         self, workload, single_session
     ):
         # The backlog is the gateway's own books: shards it placed on an
-        # endpoint and has not seen finish.  Hold three on a gated one.
+        # endpoint and has not seen finish.  Hold one on a gated endpoint.
         _, _, inputs, labels = workload
         gate = _GateTarget(_fresh_session(workload))
         request = InferenceRequest(inputs=inputs[:12])
@@ -1164,12 +1166,12 @@ class TestAdaptiveGateway:
             ],
         ) as gateway:
             try:
-                held = _hold_shards(gateway, gate, request, "busy", 3)
+                held = _hold_shards(gateway, gate, request, "busy", 1)
                 plan = gateway.shard_plan(12)
                 sizes = {p.endpoint.name: p.stop - p.start for p in plan}
-                # Effective capacities 1 vs 1/4: the busy endpoint's share
-                # drops from the static 6 to round(12 * 0.2) = 2.
-                assert sizes == {"idle": 10, "busy": 2}
+                # Effective capacities 1 vs 1/2: the busy endpoint's share
+                # drops from the static 6 to round(12 / 3) = 4.
+                assert sizes == {"idle": 8, "busy": 4}
             finally:
                 gate.release.set()
             # Adaptivity changes placement, never numbers.
@@ -1178,6 +1180,44 @@ class TestAdaptiveGateway:
                 _assert_identical(expected, future.result(timeout=60))
             full = InferenceRequest(inputs=inputs, labels=labels)
             _assert_identical(single_session.infer(full), gateway.infer(full))
+
+    def test_waiting_shard_moves_to_an_idle_endpoint(self, workload, single_session):
+        # Three batches split across a gated and a plain endpoint: the gate
+        # holds the first busy shard, and the two queued behind it move to
+        # the plain endpoint once it has nothing else to do.
+        _, _, inputs, _ = workload
+        gate = _GateTarget(_fresh_session(workload))
+        request = InferenceRequest(inputs=inputs[:12])
+        expected = single_session.infer(request)
+        with InferenceGateway(
+            [
+                GatewayEndpoint(
+                    target=_fresh_session(workload), capacity=1, name="idle"
+                ),
+                GatewayEndpoint(target=gate, capacity=1, name="busy"),
+            ],
+        ) as gateway:
+            try:
+                futures = [gateway.submit(request) for _ in range(3)]
+                deadline = time.monotonic() + 30
+                while sum(f.done() for f in futures) < 2:
+                    assert time.monotonic() < deadline, "queued shards never moved"
+                    time.sleep(0.01)
+                # Only the batch whose shard the gate holds is pending.
+                done = [f for f in futures if f.done()]
+                assert len(done) == 2
+                for future in done:
+                    response = future.result()
+                    _assert_identical(expected, response)
+                    assert {s["endpoint"] for s in response.metadata["shards"]} == {
+                        "idle"
+                    }
+                assert gateway.endpoint_loads()["busy"]["backlog"] == 1
+            finally:
+                gate.release.set()
+            for future in futures:
+                _assert_identical(expected, future.result(timeout=60))
+        assert gate.dispatches == [1]
 
     def test_adaptive_off_restores_static_plan(self, workload, single_session):
         _, _, inputs, _ = workload

@@ -306,6 +306,43 @@ class TestGatewayMembership:
                 for shard in response.metadata["shards"]
             )
 
+    def test_queued_shards_move_to_a_joining_endpoint(
+        self, workload, single_session
+    ):
+        """Work admitted before a scale-up does not wait on the old replica."""
+        _, _, inputs, _ = workload
+        gate = _GatedTarget(_fresh_session(workload))
+        request = InferenceRequest(inputs=inputs[:12])
+        expected = single_session.infer(request)
+        with InferenceGateway(
+            [GatewayEndpoint(target=gate, name="old")], name="join-move"
+        ) as gateway:
+            try:
+                futures = [gateway.submit(request) for _ in range(3)]
+                assert gate.entered.wait(timeout=30)
+                assert gateway.endpoint_loads()["old"]["backlog"] == 3
+                gateway.add_endpoint(
+                    GatewayEndpoint(target=_fresh_session(workload), name="new")
+                )
+                deadline = time.monotonic() + 30
+                while sum(f.done() for f in futures) < 2:
+                    assert time.monotonic() < deadline, "queued shards never moved"
+                    time.sleep(0.01)
+                done = [f for f in futures if f.done()]
+                assert len(done) == 2
+                for future in done:
+                    response = future.result()
+                    _assert_identical(expected, response)
+                    assert [s["endpoint"] for s in response.metadata["shards"]] == [
+                        "new"
+                    ]
+                loads = gateway.endpoint_loads()
+                assert (loads["old"]["backlog"], loads["new"]["backlog"]) == (1, 0)
+            finally:
+                gate.release.set()
+            for future in futures:
+                _assert_identical(expected, future.result(timeout=60))
+
     def test_draining_server_sheds_onto_sibling(self, workload, single_session):
         """A racing scale-down's ``draining`` error retries on a sibling."""
         _, _, inputs, _ = workload

@@ -85,7 +85,7 @@ def _drain_inflight(gateway: InferenceGateway, timeout_s: float = 30.0) -> None:
     deadline = time.monotonic() + timeout_s
     while True:
         loads = gateway.endpoint_loads()
-        if all(load["inflight"] == 0 for load in loads.values()):
+        if all(load["backlog"] == 0 for load in loads.values()):
             return
         assert time.monotonic() < deadline, f"inflight never drained: {loads}"
         time.sleep(0.01)
