@@ -32,7 +32,9 @@ BATCH = 32
 REQUESTS = 8
 FEATURES = 64
 TIMESTEPS = 6
-JOBS = 2
+#: One session: process workers would run the session and plan-cache
+#: instruments in the children's default registries, outside the comparison.
+JOBS = 1
 ROUNDS = 7
 
 #: The instrumented hot path may cost at most this fraction extra.
@@ -91,7 +93,7 @@ def test_bench_metrics_overhead_on_batched_hot_path(
     with pool_for(NULL_REGISTRY) as disabled_pool, pool_for(
         MetricsRegistry(enabled=True)
     ) as enabled_pool:
-        # Warm both paths (plan arenas, executor threads) before timing.
+        # Warm both paths (plan arenas) before timing.
         disabled_pool.infer_many(requests)
         enabled_pool.infer_many(requests)
         for _ in range(ROUNDS):

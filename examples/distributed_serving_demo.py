@@ -1,12 +1,11 @@
-"""Distributed serving walkthrough: executors, chip server, gateway.
+"""Distributed serving walkthrough: process workers, chip server, gateway.
 
 Builds one MLP and then serves it at every rung of the distribution ladder,
 verifying at each rung that the answer never changes:
 
 1. a single :class:`repro.serve.ChipSession` (the reference),
-2. a :class:`repro.serve.ChipPool` on the ``process`` executor — one
-   programmed chip per worker process, shard arrays shipped through shared
-   memory,
+2. a ``jobs=2`` :class:`repro.serve.ChipPool` — one programmed chip per
+   worker process, shard arrays shipped through shared memory,
 3. a socket :class:`~repro.serve.distributed.ChipServer` on localhost with a
    :class:`~repro.serve.distributed.PipelinedSession` client — the same
    arrays as raw binary frames, now over TCP,
@@ -76,10 +75,9 @@ def main() -> None:
         f"energy {format_energy(reference.energy.total_j)}"
     )
 
-    # 2 -- process executor: one chip per worker process ---------------------------
+    # 2 -- process workers: one chip per worker process ----------------------------
     with ChipPool(
-        snn, jobs=2, config=config, timesteps=16, encoder="poisson", seed=7,
-        executor="process",
+        snn, jobs=2, config=config, timesteps=16, encoder="poisson", seed=7
     ) as pool:
         start = time.perf_counter()
         processed = pool.infer(request)

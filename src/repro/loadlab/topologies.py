@@ -5,7 +5,7 @@ derived workload through each layer of the serving stack:
 
 ========== ====================================================================
 ``session``  one :class:`~repro.serve.ChipSession` (the exactness baseline)
-``pool``     a :class:`~repro.serve.ChipPool` sharding across thread workers
+``pool``     a :class:`~repro.serve.ChipPool` sharding across worker processes
 ``server``   an in-process :class:`~repro.serve.distributed.ChipServer` with a
              :class:`~repro.serve.distributed.PipelinedSession` client — the
              full wire protocol, dynamic batcher and admission control
@@ -155,7 +155,6 @@ def _build_pool(workload: LabWorkload, options: dict) -> Topology:
         timesteps=workload.session_spec.timesteps,
         seed=workload.session_spec.seed,
         encoder_state=workload.session_spec.encoder_state,
-        executor="thread",
     )
     return Topology("pool", pool.infer, pool.close)
 

@@ -10,12 +10,11 @@ server, queue worker or sweep harness can sit on:
 * :class:`~repro.serve.session.ChipSession` — one programmed chip plus its
   compiled fastpath program and encoder state, serving ``infer`` requests
   with per-request batch/labels/timesteps overrides.
-* :class:`~repro.serve.pool.ChipPool` — N workers sharding a large batch
-  behind a pluggable executor (``inline`` / ``thread`` / ``process``),
-  merging shard responses into one result identical to a single-session
-  run.
-* :mod:`repro.serve.distributed` — the multi-host layer: the executor
-  registry, a socket chip server plus :class:`PipelinedSession` client, and
+* :class:`~repro.serve.pool.ChipPool` — one session (``jobs=1``) or N
+  worker processes sharding a large batch, merging shard responses into one
+  result identical to a single-session run.
+* :mod:`repro.serve.distributed` — the multi-host layer: the process shard
+  workers, a socket chip server plus :class:`PipelinedSession` client, and
   a capacity-weighted multi-endpoint :class:`InferenceGateway`.
 
 Quickstart::
@@ -25,7 +24,7 @@ Quickstart::
     session = ChipSession(snn, timesteps=16, encoder="poisson", seed=7)
     response = session.infer(InferenceRequest(inputs=images, labels=labels))
 
-    with ChipPool(snn, jobs=4, timesteps=16, encoder="poisson", seed=7) as pool:
+    with ChipPool(snn, jobs=2, timesteps=16, encoder="poisson", seed=7) as pool:
         sharded = pool.infer(InferenceRequest(inputs=images, labels=labels))
 
     payload = sharded.to_json()  # ships across a process boundary

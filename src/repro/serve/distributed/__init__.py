@@ -4,10 +4,10 @@ Three layers share the :class:`~repro.serve.InferenceRequest` ->
 :class:`~repro.serve.InferenceResponse` contract and are each result-
 identical to a single local :class:`~repro.serve.ChipSession`:
 
-* **executors** (:mod:`~repro.serve.distributed.executors`) — pluggable
-  shard execution for :class:`~repro.serve.ChipPool`: ``inline``, ``thread``
-  or ``process`` (one programmed chip per ``multiprocessing`` worker, shard
-  arrays shipped through shared memory).
+* **executors** (:mod:`~repro.serve.distributed.executors`) — the process
+  workers a ``jobs > 1`` :class:`~repro.serve.ChipPool` shards across (one
+  programmed chip per ``multiprocessing`` worker, shard arrays shipped
+  through shared memory).
 * **server/client** (:mod:`~repro.serve.distributed.server` /
   :mod:`~repro.serve.distributed.client`) — an :mod:`asyncio` chip daemon
   answering protocol-3 binary frames with pipelined request ids and
@@ -26,7 +26,7 @@ Quickstart::
     from repro.serve import ChipPool, InferenceRequest
     from repro.serve.distributed import ChipServer, InferenceGateway, PipelinedSession
 
-    pool = ChipPool(snn, jobs=4, executor="process", seed=7)   # multi-core
+    pool = ChipPool(snn, jobs=2, seed=7)                       # multi-core
     server = ChipServer(pool, port=7070).start()               # multi-host
     remote = PipelinedSession.connect("127.0.0.1:7070")        # many in flight
     gateway = InferenceGateway([remote, local_pool])           # multi-endpoint
@@ -45,15 +45,7 @@ from repro.serve.distributed.client import (
     parse_endpoint,
     split_endpoints,
 )
-from repro.serve.distributed.executors import (
-    EXECUTORS,
-    InlineExecutor,
-    ProcessExecutor,
-    SessionSpec,
-    ShardExecutor,
-    ThreadExecutor,
-    make_executor,
-)
+from repro.serve.distributed.executors import ProcessExecutor, SessionSpec
 from repro.serve.distributed.gateway import GatewayEndpoint, InferenceGateway
 from repro.serve.distributed.server import (
     SHED_POLICIES,
@@ -64,23 +56,18 @@ from repro.serve.distributed.server import (
 )
 
 __all__ = [
-    "EXECUTORS",
     "SHED_POLICIES",
     "CancellableFuture",
     "ChipServer",
     "GatewayEndpoint",
     "InferenceGateway",
-    "InlineExecutor",
     "PipelinedSession",
     "ProcessExecutor",
     "RemoteServerError",
     "ServeRejection",
     "ServingWorkload",
     "SessionSpec",
-    "ShardExecutor",
-    "ThreadExecutor",
     "load_benchmark_workload",
-    "make_executor",
     "parse_endpoint",
     "split_endpoints",
 ]

@@ -7,7 +7,7 @@ Three subcommands, all runnable as ``python -m repro.serve.distributed``:
   interrupted (or a client sends the ``shutdown`` op)::
 
       PYTHONPATH=src python -m repro.serve.distributed serve \\
-          --workload mnist-mlp --port 7070 --jobs 2
+          --workload mnist-mlp --port 7070
 
 * ``infer`` — connect to a running server, send one batch of the workload's
   test split and print the result::
@@ -60,7 +60,7 @@ from repro.serve.distributed.client import (
     RemoteServerError,
     parse_endpoint,
 )
-from repro.serve.distributed.executors import EXECUTORS, SessionSpec
+from repro.serve.distributed.executors import SessionSpec
 from repro.serve.distributed.server import (
     SHED_POLICIES,
     ChipServer,
@@ -110,13 +110,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=7070, help="bind port (0 picks a free port)"
     )
     serve.add_argument(
-        "--jobs", type=int, default=2, help="pool worker count (>= 1)"
-    )
-    serve.add_argument(
-        "--executor",
-        default="thread",
-        choices=sorted(EXECUTORS),
-        help="pool shard executor",
+        "--jobs",
+        type=int,
+        default=1,
+        help="pool worker count: 1 serves on one session, N > 1 shards "
+        "across N worker processes",
     )
     serve.add_argument(
         "--encoder",
@@ -197,7 +195,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_workload_arguments(smoke)
     smoke.add_argument("--samples", type=int, default=4, help="test samples to send")
-    smoke.add_argument("--jobs", type=int, default=2, help="server pool workers")
     smoke.add_argument(
         "--timeout",
         type=float,
@@ -400,7 +397,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         encoder=args.encoder,
         backend=args.backend,
         seed=args.seed,
-        executor=args.executor,
     ) as pool:
         with ChipServer(
             pool,
@@ -415,7 +411,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             host, port = server.address
             print(
                 f"chip-server: {args.workload} ({args.backend}, jobs={args.jobs}, "
-                f"executor={args.executor}, max_batch={args.max_batch}, "
+                f"max_batch={args.max_batch}, "
                 f"max_queue={args.max_queue or 'unbounded'}, "
                 f"shed_policy={args.shed_policy}) "
                 f"listening on {host}:{port}",
@@ -849,7 +845,6 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
         "--scale", str(args.scale),
         "--seed", str(args.seed),
         "--timesteps", str(args.timesteps),
-        "--jobs", str(args.jobs),
         "--host", "127.0.0.1",
         "--port", "0",
         "--metrics-port", "0",

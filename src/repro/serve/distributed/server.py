@@ -492,9 +492,6 @@ class ChipServer:
             "uptime_s": max(0.0, time.time() - self.started_at),
             "stats": dict(self.stats),
         }
-        executor = getattr(self.target, "executor", None)
-        if executor is not None:
-            info["executor"] = executor
         if self._metrics_address is not None:
             host, port = self._metrics_address
             info["metrics_endpoint"] = f"{host}:{port}"

@@ -5,8 +5,8 @@ cooperating parts, each usable on its own:
 
 * :mod:`repro.serve.fleet.replica` — :class:`ReplicaManager` provisions
   real :class:`~repro.serve.distributed.ChipServer` OS processes from a
-  picklable :class:`~repro.serve.distributed.SessionSpec` (the executor
-  registry's provisioning path), health-checks them via ping, and retires
+  picklable :class:`~repro.serve.distributed.SessionSpec` (the pool's
+  worker-process provisioning path), health-checks them via ping, and retires
   them through the graceful ``drain`` wire op: the server stops admitting
   work, finishes its queue, answers everything it owes, then exits — no
   in-flight request is ever failed by a scale-down.

@@ -3,7 +3,7 @@
 A *replica* is one :class:`~repro.serve.distributed.ChipServer` running in
 its own OS process, built from a picklable
 :class:`~repro.serve.distributed.SessionSpec` — the same provisioning
-recipe the executor registry uses for pool workers, so every replica's chip
+recipe a ``jobs > 1`` pool uses for its worker processes, so every replica's chip
 is programmed identically and shard placement stays result-exact.
 
 The lifecycle protocol:

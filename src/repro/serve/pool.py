@@ -1,25 +1,30 @@
 """Sharded inference across a pool of chip sessions.
 
-:class:`ChipPool` owns a primary :class:`~repro.serve.ChipSession` plus a
-pluggable :class:`~repro.serve.distributed.executors.ShardExecutor` that runs
-``jobs`` workers — inline on the calling thread, on a thread pool, or in
-``multiprocessing`` worker processes each holding its own programmed chip.
-Each request batch is split into contiguous shards, one per worker, and the
-merged response is *result-identical* to running the whole batch on one
-session regardless of the executor:
+:class:`ChipPool` owns a primary :class:`~repro.serve.ChipSession`, and
+``jobs`` is its only sharding choice.  A ``jobs=1`` pool (the default) runs
+every request whole on the primary session.  A ``jobs > 1`` pool splits each
+request batch into contiguous shards and runs them on
+:class:`~repro.serve.distributed.executors.ProcessExecutor` workers — one
+``multiprocessing`` process per job, each holding its own programmed chip,
+with shard arrays moving through shared memory.  The merged response is
+*result-identical* to running the whole batch on one session:
 
 * encoding is shard-stable — every worker derives the pool's
   :class:`~repro.snn.encoding.EncoderState` and receives its shard's
   absolute ``sample_offset``, so sample ``i`` gets the same spike train no
   matter how (or where) the batch is partitioned;
-* chip programming is a pure function of ``(snn, config, seed)``, so thread
-  workers sharing the primary chip and process workers rebuilding their own
-  execute the same hardware;
+* chip programming is a pure function of ``(snn, config, seed)``, so
+  process workers rebuilding their own chip execute the same hardware;
 * predictions and spike counts are per-sample and concatenate exactly;
 * event counters are integer totals that sum exactly across shards, and the
   merged counters are converted to energy through the primary session's own
   pipeline, so components agree with a single-session run to floating-point
   accumulation order (<< 1e-9 relative).
+
+The fused kernel already runs each chip layer as one stacked matmul per
+timestep, so threads around it add hops and no parallelism; only worker
+processes, on a host with a spare core per job, have been measured to beat
+one session.  ``jobs`` beyond the core count over-subscribes the host.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import numpy as np
 
 from repro.core.config import ArchitectureConfig
 from repro.energy.components import ComponentLibrary
-from repro.serve.distributed.executors import SessionSpec, ShardExecutor, make_executor
+from repro.serve.distributed.executors import ProcessExecutor, SessionSpec
 from repro.serve.metrics import (
     PHASE_COMPUTE,
     PHASE_MERGE,
@@ -52,22 +57,17 @@ class ChipPool:
 
     Parameters
     ----------
-    executor:
-        Worker strategy: ``"inline"`` (sequential, debugging baseline),
-        ``"thread"`` (default; NumPy kernels release the GIL) or
-        ``"process"`` (one chip per worker process; shard arrays move
-        through shared memory, only scalar fields as compact JSON).  A
-        :class:`ShardExecutor` instance is also accepted.  All executors
-        return identical results.  A ``jobs=1`` pool never shards, so no
-        workers are provisioned and the executor choice is effectively
-        ``inline`` (a process worker would program a chip that is never
-        consulted).
+    jobs:
+        ``1`` (default) runs every request — each request of an
+        :meth:`infer_many` dispatch too — on the primary session and starts
+        no child process.  ``jobs > 1`` shards across that many
+        :class:`ProcessExecutor` workers.  Both return identical results.
     """
 
     def __init__(
         self,
         snn: SpikingNetwork,
-        jobs: int = 2,
+        jobs: int = 1,
         *,
         config: ArchitectureConfig | None = None,
         library: ComponentLibrary | None = None,
@@ -76,7 +76,6 @@ class ChipPool:
         backend: str = "vectorized",
         seed: int = 0,
         encoder_state: EncoderState | None = None,
-        executor: str | ShardExecutor = "thread",
         registry: MetricsRegistry | None = None,
     ):
         if jobs < 1:
@@ -90,16 +89,11 @@ class ChipPool:
             "repro_pool_shards_total", "shards executed"
         )
         self._m_compute = self.metrics.histogram(
-            "repro_pool_compute_seconds", "wave execution wall per dispatch"
+            "repro_pool_compute_seconds", "compute wall per dispatch"
         )
         self._m_merge = self.metrics.histogram(
             "repro_pool_merge_seconds", "shard merge wall per request"
         )
-        # Validate the requested executor even when it will not be used; a
-        # single-worker pool downgrades to inline rather than provisioning
-        # workers that infer()'s single-shard fast path can never reach.
-        requested = make_executor(executor)
-        self._shard_executor = requested if jobs > 1 else make_executor("inline")
         primary = ChipSession(
             snn,
             config=config,
@@ -113,22 +107,24 @@ class ChipPool:
         )
         self._primary = primary
         assert primary.encoder_state is not None  # sessions built here are state-mode
-        self._shard_executor.start(
-            SessionSpec(
-                snn=snn,
-                config=primary.config,
-                library=library,
-                timesteps=timesteps,
-                backend=backend,
-                seed=seed,
-                encoder_state=primary.encoder_state,
-            ),
-            jobs,
-            primary,
-        )
-        # Shard tasks are pinned to fixed workers, and structural workers
-        # mutate their chip in place — so only one batch may be in flight per
-        # pool.  Callers' infer() calls serialise on this lock.
+        self._workers = None
+        if jobs > 1:
+            self._workers = ProcessExecutor(
+                SessionSpec(
+                    snn=snn,
+                    config=primary.config,
+                    library=library,
+                    timesteps=timesteps,
+                    backend=backend,
+                    seed=seed,
+                    encoder_state=primary.encoder_state,
+                ),
+                jobs,
+                int(primary.chip.output_dim),
+            )
+        # The primary session and the worker pool each serve one batch at a
+        # time, so only one dispatch may be in flight per pool.  Callers'
+        # infer() calls serialise on this lock.
         self._infer_lock = threading.Lock()
         self._closed = False
 
@@ -138,7 +134,8 @@ class ChipPool:
         """Shut down the workers (idempotent)."""
         if not self._closed:
             self._closed = True
-            self._shard_executor.close()
+            if self._workers is not None:
+                self._workers.close()
 
     def __enter__(self) -> "ChipPool":
         return self
@@ -150,11 +147,6 @@ class ChipPool:
     def session(self) -> ChipSession:
         """The primary session (shared chip / encoder state / energy context)."""
         return self._primary
-
-    @property
-    def executor(self) -> str:
-        """Name of the active shard executor."""
-        return self._shard_executor.name
 
     # -- inference ----------------------------------------------------------------
 
@@ -218,7 +210,9 @@ class ChipPool:
         """Run several requests as one coalesced pool dispatch.
 
         This is the dynamic-batching seam the async chip server drains its
-        request queue through: every queued request is split into contiguous
+        request queue through.  A ``jobs=1`` pool runs the requests one after
+        another on the primary session.  A ``jobs > 1`` pool splits every
+        queued request into contiguous
         shards carrying its *own* absolute ``sample_offset``, the shards are
         **re-batched at the shard level** — an oversized request becomes
         several sub-shards no larger than the dispatch's ideal makespan, and
@@ -243,28 +237,23 @@ class ChipPool:
         with self._infer_lock:
             if self._closed:
                 raise RuntimeError("pool is closed")
+            if self._workers is None:
+                return self._infer_on_primary(requests)
             plans = [
                 self._shard_bounds(request.batch_size, shards)
                 for request, shards in zip(requests, self._shard_allocation(requests))
             ]
             if len(requests) == 1 and len(plans[0]) <= 1:
-                # Historic fast path: a request too small to shard runs on
-                # the primary session without touching the executor.
-                started = time.monotonic()
-                response = self.session.infer(requests[0])
-                record_phase(
-                    response.metadata, PHASE_COMPUTE, time.monotonic() - started
-                )
-                self._m_dispatches.inc()
-                self._m_shards.inc()
-                return [response]
+                # A request too small to shard runs on the primary session
+                # without a round trip to the workers.
+                return self._infer_on_primary(requests)
             shard_requests = [
                 request.shard(start, stop)
                 for request, bounds in zip(requests, plans)
                 for start, stop in bounds
             ]
-            # Executors pin shards to fixed workers and a wave never exceeds
-            # the worker count; packing decides which shards share a wave.
+            # A wave never exceeds the worker count; packing decides which
+            # shards share a wave.
             responses: list[InferenceResponse | None] = [None] * len(shard_requests)
             waves = self._pack_waves(
                 [shard.batch_size for shard in shard_requests], self.jobs
@@ -273,7 +262,7 @@ class ChipPool:
             for wave in waves:
                 for index, response in zip(
                     wave,
-                    self._shard_executor.run_shards(
+                    self._workers.run_shards(
                         [shard_requests[index] for index in wave]
                     ),
                 ):
@@ -300,6 +289,22 @@ class ChipPool:
             merged.append(response)
             cursor += len(bounds)
         return merged
+
+    def _infer_on_primary(
+        self, requests: list[InferenceRequest]
+    ) -> list[InferenceResponse]:
+        """Run each request whole on the primary session, in order."""
+        started = time.monotonic()
+        responses = [self.session.infer(request) for request in requests]
+        compute_s = time.monotonic() - started
+        # As in a sharded dispatch, every request waits for the whole
+        # dispatch, so its compute span is the dispatch's wall.
+        for response in responses:
+            record_phase(response.metadata, PHASE_COMPUTE, compute_s)
+        self._m_dispatches.inc()
+        self._m_shards.inc(len(requests))
+        self._m_compute.observe(compute_s)
+        return responses
 
     def _merge_request(
         self, request: InferenceRequest, responses: list[InferenceResponse]

@@ -8,7 +8,7 @@ never numbers):
 * the **wire protocol**: tagged frames allow several requests in flight per
   connection, replies matched by request id;
 * the **pool's** :meth:`~repro.serve.ChipPool.infer_many` dynamic-batching
-  seam: many requests coalesce into one executor dispatch and split back
+  seam: many requests coalesce into one pool dispatch and split back
   per request, exactly;
 * the **server's** cross-client dynamic batcher, driven through gate
   targets so coalescing is deterministic rather than timing-dependent;
@@ -32,7 +32,6 @@ import pytest
 from repro.core import ArchitectureConfig
 from repro.serve import ChipPool, ChipSession, InferenceRequest
 from repro.serve.distributed import (
-    EXECUTORS,
     ChipServer,
     GatewayEndpoint,
     InferenceGateway,
@@ -192,9 +191,9 @@ class TestWireProtocol:
 
 
 class TestPoolInferMany:
-    @pytest.mark.parametrize("executor", sorted(EXECUTORS))
+    @pytest.mark.parametrize("jobs", [1, 3])
     def test_coalesced_requests_split_back_exactly(
-        self, workload, single_session, executor
+        self, workload, single_session, jobs
     ):
         snn, config, inputs, labels = workload
         requests = [
@@ -206,12 +205,11 @@ class TestPoolInferMany:
         expected = [single_session.infer(request) for request in requests]
         with ChipPool(
             snn,
-            jobs=3,
+            jobs=jobs,
             config=config,
             timesteps=5,
             encoder="poisson",
             seed=21,
-            executor=executor,
         ) as pool:
             responses = pool.infer_many(requests)
         assert len(responses) == len(requests)
@@ -300,9 +298,9 @@ class TestPoolInferMany:
         assert ChipPool._pack_waves([4, 4, 4], 3) == [[0, 1, 2]]
         assert ChipPool._pack_waves([1], 4) == [[0]]
 
-    @pytest.mark.parametrize("executor", sorted(EXECUTORS))
+    @pytest.mark.parametrize("jobs", [1, 2])
     def test_mixed_small_and_oversized_requests_split_back_exactly(
-        self, workload, single_session, executor
+        self, workload, single_session, jobs
     ):
         # The acceptance bar for shard-level re-batching: an oversized
         # request (split into sub-shards) coalesced with small requests must
@@ -316,15 +314,15 @@ class TestPoolInferMany:
         expected = [single_session.infer(request) for request in requests]
         with ChipPool(
             snn,
-            jobs=2,
+            jobs=jobs,
             config=config,
             timesteps=5,
             encoder="poisson",
             seed=21,
-            executor=executor,
         ) as pool:
-            # The oversized request really is re-batched into sub-shards.
-            assert pool._shard_allocation(requests)[0] > 1
+            # With workers, the oversized request really is re-batched into
+            # sub-shards; one session runs each request whole.
+            assert (pool._shard_allocation(requests)[0] > 1) == (jobs > 1)
             responses = pool.infer_many(requests)
         for want, got in zip(expected, responses):
             _assert_identical(want, got)
@@ -1399,9 +1397,11 @@ class TestServeCli:
             ["infer", "--endpoint", "127.0.0.1:7070", "--wire", "json"],
             ["smoke", "--timeout", "0"],
             ["smoke", "--wire", "json"],
+            ["smoke", "--jobs", "2"],  # retired: the smoke server runs jobs=1
             ["serve", "--max-batch", "0"],
             ["serve", "--max-queue", "-1"],
             ["serve", "--shed-policy", "sometimes"],
+            ["serve", "--executor", "thread"],  # retired: jobs picks sharding
         ],
     )
     def test_cli_rejects_bad_arguments_early(self, argv):

@@ -1,18 +1,22 @@
-"""The distributed serving subsystem: executors, server/client, gateway.
+"""The distributed serving subsystem: process workers, server/client, gateway.
 
-The parity bar is the one :mod:`tests.test_serve_api` sets for the thread
-pool: a distributed run is only allowed to be *parallel* (or *remote*) —
-never different.  Predictions, spike counts and every integer event counter
-must match a single :class:`~repro.serve.ChipSession` exactly; accumulated
-float energies agree to 1e-9 relative.  That must hold for every shard
-executor (inline / thread / process), for a response read back over the
-chip server's socket, and for a gateway merge across mixed local/remote
-endpoints.
+The parity bar is the one :mod:`tests.test_serve_api` sets for the pool: a
+distributed run is only allowed to be *parallel* (or *remote*) — never
+different.  Predictions, spike counts and every integer event counter must
+match a single :class:`~repro.serve.ChipSession` exactly; accumulated float
+energies agree to 1e-9 relative.  That must hold for a one-session
+(``jobs=1``) pool and a process-worker (``jobs > 1``) pool alike, for a
+response read back over the chip server's socket, and for a gateway merge
+across mixed local/remote endpoints.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import struct
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -20,14 +24,12 @@ import pytest
 from repro.core import ArchitectureConfig, EventCounters
 from repro.serve import ChipPool, ChipSession, InferenceRequest
 from repro.serve.distributed import (
-    EXECUTORS,
     ChipServer,
     GatewayEndpoint,
     InferenceGateway,
     PipelinedSession,
     RemoteServerError,
     load_benchmark_workload,
-    make_executor,
     parse_endpoint,
 )
 from repro.serve.schema import FRAME_MAGIC, encode_frame, request_envelope
@@ -98,27 +100,25 @@ def _assert_responses_identical(single, other):
         ), f"energy component {component}"
 
 
-# -- executors ----------------------------------------------------------------------
+# -- pool workers -------------------------------------------------------------------
 
 
 class TestExecutors:
-    @pytest.mark.parametrize("executor", sorted(EXECUTORS))
-    def test_every_executor_matches_single_session(
-        self, workload, single_response, executor
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_every_jobs_count_matches_single_session(
+        self, workload, single_response, jobs
     ):
         snn, config, inputs, labels = workload
         with ChipPool(
             snn,
-            jobs=3,
+            jobs=jobs,
             config=config,
             timesteps=6,
             encoder="poisson",
             seed=11,
-            executor=executor,
         ) as pool:
-            assert pool.executor == executor
             sharded = pool.infer(InferenceRequest(inputs=inputs, labels=labels))
-        assert sharded.jobs == 3
+        assert sharded.jobs == jobs
         _assert_responses_identical(single_response, sharded)
 
     def test_process_executor_structural_backend(self, workload):
@@ -137,7 +137,6 @@ class TestExecutors:
             encoder="poisson",
             backend="structural",
             seed=2,
-            executor="process",
         ) as pool:
             sharded = pool.infer(request)
         _assert_responses_identical(single, sharded)
@@ -148,48 +147,68 @@ class TestExecutors:
         snn, config, inputs, labels = workload
         request = InferenceRequest(inputs=inputs, labels=labels)
         with ChipPool(
-            snn, jobs=2, config=config, timesteps=6, encoder="poisson",
-            seed=11, executor="process",
+            snn, jobs=2, config=config, timesteps=6, encoder="poisson", seed=11
         ) as pool:
             first = pool.infer(request)
             second = pool.infer(request)
         _assert_responses_identical(single_response, first)
         _assert_responses_identical(single_response, second)
 
-    def test_single_worker_pool_downgrades_to_inline(self, workload, single_response):
-        # jobs=1 never shards, so no process worker (with its own programmed
-        # chip) should be provisioned; the executor name is still validated.
+    def test_single_job_pool_starts_no_child_process(self, workload, single_response):
+        # jobs=1 never shards, so no worker process (with its own programmed
+        # chip) is provisioned: every request runs on the primary session.
         snn, config, inputs, labels = workload
+        before = {child.pid for child in multiprocessing.active_children()}
         with ChipPool(
-            snn, jobs=1, config=config, timesteps=6, encoder="poisson",
-            seed=11, executor="process",
+            snn, jobs=1, config=config, timesteps=6, encoder="poisson", seed=11
         ) as pool:
-            assert pool.executor == "inline"
+            started = {child.pid for child in multiprocessing.active_children()}
+            assert started == before
             response = pool.infer(InferenceRequest(inputs=inputs, labels=labels))
         _assert_responses_identical(single_response, response)
-        with pytest.raises(ValueError, match="executor must be one of"):
-            ChipPool(snn, jobs=1, config=config, executor="bogus")
 
-    def test_unknown_executor_rejected(self, workload):
-        snn, config, _, _ = workload
-        with pytest.raises(ValueError, match="executor must be one of"):
-            ChipPool(snn, jobs=2, config=config, executor="carrier-pigeon")
-        with pytest.raises(ValueError, match="executor must be one of"):
-            make_executor("quantum")
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_process_workers_keep_the_parent_segment_tracked(self, start_method):
+        # Workers share the parent's resource tracker (always under spawn;
+        # under fork once the tracker runs, i.e. for every pool after the
+        # first).  A worker that unregistered the dispatch segment on attach
+        # made the parent's unlink() fail inside the tracker, which printed
+        # a KeyError traceback per dispatch wave.  A forked worker that
+        # started a tracker of its own instead reports the parent's
+        # segments as leaked when it exits.
+        script = textwrap.dedent(
+            f"""
+            import multiprocessing
 
-    def test_executor_instance_accepted(self, workload, single_response):
-        snn, config, inputs, labels = workload
-        with ChipPool(
-            snn,
-            jobs=2,
-            config=config,
-            timesteps=6,
-            encoder="poisson",
-            seed=11,
-            executor=make_executor("inline"),
-        ) as pool:
-            sharded = pool.infer(InferenceRequest(inputs=inputs, labels=labels))
-        _assert_responses_identical(single_response, sharded)
+            import numpy as np
+
+            from repro.core import ArchitectureConfig
+            from repro.serve import ChipPool, InferenceRequest
+            from repro.snn import Dense, Network, convert_to_snn
+
+            if __name__ == "__main__":
+                multiprocessing.set_start_method({start_method!r})
+                rng = np.random.default_rng(0)
+                network = Network((16,), [Dense(16, 4, use_bias=False, rng=rng)])
+                snn = convert_to_snn(network, rng.random((8, 16)))
+                config = ArchitectureConfig(crossbar_rows=16, crossbar_columns=16)
+                inputs = rng.random((6, 16))
+                for _ in range(2):
+                    with ChipPool(snn, jobs=2, config=config, timesteps=2) as pool:
+                        for _ in range(3):
+                            pool.infer(InferenceRequest(inputs=inputs))
+            """
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "KeyError" not in result.stderr, result.stderr
+        assert "Traceback" not in result.stderr, result.stderr
+        assert "leaked" not in result.stderr, result.stderr
 
 
 # -- server / client ----------------------------------------------------------------
@@ -456,18 +475,33 @@ class TestExperimentWiring:
             )
         )
 
-    def test_evaluate_chip_executors_agree(self, context):
+    def test_evaluate_chip_jobs_agree(self, context):
+        # evaluate_chip(jobs=1) keeps the legacy-seeded session, so the
+        # jobs=2 process run is checked against a jobs=1 pool on the same
+        # shard-stable seeding.
+        from repro.core import ArchitectureConfig as AC
+        from repro.utils.rng import stable_seed
+
         workload = context.prepare("mnist-mlp")
-        thread = context.evaluate_chip(workload, crossbar_size=32, jobs=2)
-        inline = context.evaluate_chip(
-            workload, crossbar_size=32, jobs=2, executor="inline"
-        )
-        np.testing.assert_array_equal(thread.predictions, inline.predictions)
-        np.testing.assert_array_equal(thread.spike_counts, inline.spike_counts)
-        assert thread.counters.as_dict() == inline.counters.as_dict()
-        assert inline.energy.total_j == pytest.approx(
-            thread.energy.total_j, rel=ENERGY_RTOL
-        )
+        sharded = context.evaluate_chip(workload, crossbar_size=32, jobs=2)
+        s = context.settings
+        with ChipPool(
+            workload.snn,
+            jobs=1,
+            config=AC().with_crossbar_size(32).with_event_driven(True),
+            timesteps=s.timesteps,
+            encoder="poisson",
+            seed=stable_seed(s.seed, "chip", workload.name),
+        ) as pool:
+            n = s.eval_samples
+            images = workload.dataset.test_images[:n]
+            single = pool.infer(
+                InferenceRequest(
+                    inputs=images.reshape(n, -1),
+                    labels=workload.dataset.test_labels[:n],
+                )
+            ).as_run_result()
+        _assert_responses_identical(single, sharded)
 
     def test_evaluate_chip_endpoint_roundtrip(self, context):
         # A server wrapping the *same prepared workload* must hand back the
@@ -509,8 +543,6 @@ class TestExperimentWiring:
     def test_settings_validation(self):
         from repro.experiments import ExperimentSettings
 
-        with pytest.raises(ValueError, match="chip_executor must be one of"):
-            ExperimentSettings(chip_executor="smoke-signals")
         with pytest.raises(ValueError, match="HOST:PORT"):
             ExperimentSettings(chip_endpoint="not-an-endpoint")
 
@@ -518,8 +550,9 @@ class TestExperimentWiring:
         "argv",
         [
             ["--jobs", "0"],
+            # The shard-executor choice is gone: jobs alone picks sharding.
             ["--executor", "process"],
-            ["--executor", "process", "--jobs", "1"],
+            ["--executor", "thread", "--jobs", "2"],
             ["--endpoint", "nonsense"],
             ["--endpoint", "host:99999"],
             ["--endpoint", "host:7070", "--jobs", "2"],
