@@ -48,7 +48,6 @@ from repro.serve.distributed.client import (
 from repro.serve.distributed.executors import ProcessExecutor, SessionSpec
 from repro.serve.distributed.gateway import GatewayEndpoint, InferenceGateway
 from repro.serve.distributed.server import (
-    SHED_POLICIES,
     ChipServer,
     ServeRejection,
     ServingWorkload,
@@ -56,7 +55,6 @@ from repro.serve.distributed.server import (
 )
 
 __all__ = [
-    "SHED_POLICIES",
     "CancellableFuture",
     "ChipServer",
     "GatewayEndpoint",

@@ -28,9 +28,8 @@ between hops; exhaustion surfaces as a structured
 propagate to every endpoint that understands them.
 
 The gateway also mitigates *stragglers*: with hedging enabled
-(``hedge_after_s`` and/or ``hedge_percentile``), a shard whose wait exceeds
-the straggler threshold is **hedged** — duplicated to the least-loaded
-serving sibling.  The first attempt to finish wins the shard; the loser is
+(``hedge_after_s``), a shard whose wait exceeds that threshold is
+**hedged** — duplicated to the least-loaded serving sibling.  The first attempt to finish wins the shard; the loser is
 cancelled best-effort (over the wire via the ``cancel`` op, tagged
 ``reason="hedge"``, when the endpoint hands out cancellable futures), and a
 losing attempt that still completes is counted as wasted compute.  Hedging
@@ -82,7 +81,6 @@ import contextlib
 import inspect
 import threading
 import time
-from collections import deque
 from concurrent.futures import (
     CancelledError,
     Future,
@@ -116,16 +114,14 @@ __all__ = ["GatewayEndpoint", "InferenceGateway"]
 #: sibling endpoint (the server refused the work without starting it).
 _SHED_RETRY_CODES = frozenset({ERROR_OVERLOADED, ERROR_DRAINING})
 
-#: Rolling window of observed shard latencies feeding the adaptive
-#: (percentile-derived) straggler threshold.
-_HEDGE_LATENCY_WINDOW = 128
+#: Default retry budget of a request that carries none: shed/``draining``
+#: retries per planned shard (pooled across the request), and the jittered
+#: backoff between hops (first hop about the base, doubling up to the cap).
+_RETRY_ATTEMPTS = 1
+_RETRY_BACKOFF_BASE_S = 0.02
+_RETRY_BACKOFF_CAP_S = 0.5
 
-#: Minimum observations before the percentile threshold is trusted; until
-#: then a percentile-only gateway does not hedge (and a fixed
-#: ``hedge_after_s`` keeps working on its own).
-_HEDGE_MIN_SAMPLES = 8
-
-#: Floor on any hedge threshold: hedging sub-millisecond "stragglers" would
+#: Floor on the hedge threshold: hedging sub-millisecond "stragglers" would
 #: duplicate nearly every shard.
 _HEDGE_FLOOR_S = 1e-3
 
@@ -179,6 +175,9 @@ class GatewayEndpoint:
     #: error — a fleet controller's saturation signal.  ``draining``
     #: refusals are a scale-down in progress, not load, and do not count.
     sheds: int = field(default=0, init=False, repr=False, compare=False)
+    #: True when ``name`` was derived from the target's type: the gateway
+    #: may then suffix it to keep endpoint names unique.
+    auto_named: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not hasattr(self.target, "infer"):
@@ -196,7 +195,8 @@ class GatewayEndpoint:
         if self.capacity <= 0:
             raise ValueError(f"endpoint capacity must be > 0, got {self.capacity}")
         if not self.name:
-            self.name = f"{type(self.target).__name__.lower()}"
+            self.name = type(self.target).__name__.lower()
+            self.auto_named = True
         try:
             self.supports_deadline = (
                 "deadline_s" in inspect.signature(self.target.infer).parameters
@@ -389,14 +389,11 @@ class _MergeState:
 class _ShardAttempt:
     """One dispatch of a shard onto one endpoint (primary or hedge)."""
 
-    __slots__ = (
-        "endpoint", "hedge", "started", "task", "wire_future", "ended", "refused"
-    )
+    __slots__ = ("endpoint", "hedge", "task", "wire_future", "ended", "refused")
 
     def __init__(self, endpoint: GatewayEndpoint, *, hedge: bool):
         self.endpoint = endpoint
         self.hedge = hedge
-        self.started: float | None = None
         #: Endpoints that shed this attempt: it never moves back to them.
         self.refused: list[GatewayEndpoint] = []
         #: The dispatch pool task running this attempt (cancellable only
@@ -511,7 +508,6 @@ class _ShardRun:
     # -- attempt execution --------------------------------------------------------
 
     def _run_attempt(self, attempt: _ShardAttempt) -> None:
-        attempt.started = time.monotonic()
         with self.lock:
             already_won = self.winner is not None
         if already_won:  # lost before ever starting (pool queue)
@@ -597,8 +593,6 @@ class _ShardRun:
     def _attempt_finished(
         self, attempt: _ShardAttempt, response: InferenceResponse
     ) -> None:
-        if attempt.started is not None:
-            self.gateway._observe_shard_latency(time.monotonic() - attempt.started)
         self._end_attempt(attempt)
         with self.lock:
             if self.winner is not None:
@@ -669,26 +663,16 @@ class InferenceGateway:
         changes placement, never numbers; False pins every shard to the
         static capacity plan.
     hedge_after_s:
-        Fixed straggler threshold: a shard still unfinished after this many
-        seconds is duplicated onto the least-loaded serving sibling; the
-        first attempt to finish wins, the loser is cancelled best-effort.
-        ``None`` (default) disables the fixed threshold.
-    hedge_percentile:
-        Adaptive straggler threshold: hedge once a shard's wait exceeds
-        this percentile of the last :data:`_HEDGE_LATENCY_WINDOW` observed
-        shard latencies (needs :data:`_HEDGE_MIN_SAMPLES` observations;
-        combined with ``hedge_after_s`` the *larger* of the two wins, so a
-        fixed knob acts as a floor under a twitchy percentile).  ``None``
-        (default) disables.  Hedging is off only when both are ``None``.
-    retry_attempts:
-        Shed/``draining`` retries per *planned shard* folded into the
-        default per-request :class:`RetryBudget` (pooled across the whole
-        request) when the request does not carry its own budget.  The
-        default of 1 preserves the historical single-hop allowance — now
-        with jittered backoff between hops.
-    retry_backoff_base_s / retry_backoff_cap_s:
-        Backoff policy of that default budget (first hop sleeps about
-        ``base``, doubling per retry up to ``cap``, jittered ±50%).
+        Straggler threshold (floored at :data:`_HEDGE_FLOOR_S`): a shard
+        still unfinished after this many seconds is duplicated onto the
+        least-loaded serving sibling; the first attempt to finish wins, the
+        loser is cancelled best-effort.  ``None`` (default) disables
+        hedging.
+
+    A request that carries no :class:`RetryBudget` gets a pooled one of
+    :data:`_RETRY_ATTEMPTS` shed/``draining`` retries per planned shard,
+    with jittered backoff from :data:`_RETRY_BACKOFF_BASE_S` up to
+    :data:`_RETRY_BACKOFF_CAP_S` between hops.
     """
 
     def __init__(
@@ -699,28 +683,14 @@ class InferenceGateway:
         adaptive: bool = True,
         registry: MetricsRegistry | None = None,
         hedge_after_s: float | None = None,
-        hedge_percentile: float | None = None,
-        retry_attempts: int = 1,
-        retry_backoff_base_s: float = 0.02,
-        retry_backoff_cap_s: float = 0.5,
     ):
         if not endpoints:
             raise ValueError("gateway needs at least one endpoint")
         if hedge_after_s is not None and hedge_after_s <= 0:
             raise ValueError(f"hedge_after_s must be > 0, got {hedge_after_s}")
-        if hedge_percentile is not None and not 0 < hedge_percentile < 100:
-            raise ValueError(
-                f"hedge_percentile must be in (0, 100), got {hedge_percentile}"
-            )
-        if retry_attempts < 0:
-            raise ValueError(f"retry_attempts must be >= 0, got {retry_attempts}")
         self.name = name
         self.adaptive = adaptive
         self.hedge_after_s = hedge_after_s
-        self.hedge_percentile = hedge_percentile
-        self.retry_attempts = int(retry_attempts)
-        self.retry_backoff_base_s = float(retry_backoff_base_s)
-        self.retry_backoff_cap_s = float(retry_backoff_cap_s)
         self.metrics = registry if registry is not None else get_default_registry()
         self._m_requests = self.metrics.counter(
             "repro_gateway_requests_total", "batches submitted"
@@ -760,12 +730,9 @@ class InferenceGateway:
             "retries": 0,
             "budget_exhausted": 0,
         }
-        #: Rolling observed shard latencies feeding hedge_percentile.
-        self._shard_latencies: deque[float] = deque(maxlen=_HEDGE_LATENCY_WINDOW)
-        self._endpoints = [
-            e if isinstance(e, GatewayEndpoint) else GatewayEndpoint(target=e)
-            for e in endpoints
-        ]
+        self._endpoints: list[GatewayEndpoint] = []
+        for e in endpoints:
+            self._join(e if isinstance(e, GatewayEndpoint) else GatewayEndpoint(target=e))
         # Guards membership changes (add/remove/drain) against concurrent
         # planners; planners work on snapshots, so holding it is brief.
         self._membership_lock = threading.Lock()
@@ -823,8 +790,7 @@ class InferenceGateway:
 
         An adaptive gateway also moves shards still waiting on a busy
         endpoint here while it has nothing else to do; other in-flight work
-        keeps its plan.  Endpoint names must be unique — they are what
-        :meth:`drain_endpoint` / :meth:`remove_endpoint` address.
+        keeps its plan.  Endpoint names are unique (see :meth:`_join`).
         """
         endpoint = (
             target
@@ -834,11 +800,7 @@ class InferenceGateway:
         with self._membership_lock:
             if self._closed:
                 raise RuntimeError("gateway is closed")
-            if any(e.name == endpoint.name for e in self._endpoints):
-                raise ValueError(
-                    f"gateway already has an endpoint named {endpoint.name!r}"
-                )
-            self._endpoints.append(endpoint)
+            self._join(endpoint)
             # Keep ~2 dispatch threads available per endpoint.  stdlib pools
             # have no public resize; raising the cap is how they grow (the
             # attribute is stable across supported CPythons).
@@ -849,6 +811,26 @@ class InferenceGateway:
         with self._load_lock:
             self._load_lock.notify_all()
         return endpoint
+
+    def _join(self, endpoint: GatewayEndpoint) -> None:
+        """Append ``endpoint`` under a name no other member holds.
+
+        Names are what :meth:`drain_endpoint`, :meth:`remove_endpoint` and
+        :meth:`endpoint_loads` address, so they must be unique: an explicit
+        duplicate raises, and a name derived from the target's type gets
+        the first free ``-2``, ``-3``, ... suffix.
+        """
+        taken = {e.name for e in self._endpoints}
+        if endpoint.name in taken:
+            if not endpoint.auto_named:
+                raise ValueError(
+                    f"gateway already has an endpoint named {endpoint.name!r}"
+                )
+            base, suffix = endpoint.name, 2
+            while f"{base}-{suffix}" in taken:
+                suffix += 1
+            endpoint.name = f"{base}-{suffix}"
+        self._endpoints.append(endpoint)
 
     def drain_endpoint(self, name: str) -> GatewayEndpoint:
         """Stop planning new shards onto ``name`` (in-flight work finishes).
@@ -962,36 +944,14 @@ class InferenceGateway:
         with self._load_lock:
             return dict(self._tail)
 
-    def _observe_shard_latency(self, seconds: float) -> None:
-        with self._load_lock:
-            self._shard_latencies.append(float(seconds))
-
     def hedge_threshold(self) -> float | None:
-        """Current straggler threshold in seconds, or None when not hedging.
+        """Straggler threshold in seconds, or None when not hedging.
 
-        The percentile-derived threshold needs :data:`_HEDGE_MIN_SAMPLES`
-        observed shard latencies; before that (or with ``hedge_percentile``
-        unset) the fixed ``hedge_after_s`` stands alone.  When both apply,
-        the larger wins, and every threshold is floored at
-        :data:`_HEDGE_FLOOR_S`.
+        ``hedge_after_s`` floored at :data:`_HEDGE_FLOOR_S`.
         """
-        if self.hedge_after_s is None and self.hedge_percentile is None:
+        if self.hedge_after_s is None:
             return None
-        adaptive: float | None = None
-        if self.hedge_percentile is not None:
-            with self._load_lock:
-                samples = (
-                    list(self._shard_latencies)
-                    if len(self._shard_latencies) >= _HEDGE_MIN_SAMPLES
-                    else None
-                )
-            if samples is not None:
-                adaptive = float(np.percentile(samples, self.hedge_percentile))
-        if adaptive is None:
-            if self.hedge_after_s is None:
-                return None
-            return max(self.hedge_after_s, _HEDGE_FLOOR_S)
-        return max(adaptive, self.hedge_after_s or 0.0, _HEDGE_FLOOR_S)
+        return max(self.hedge_after_s, _HEDGE_FLOOR_S)
 
     # -- inference ----------------------------------------------------------------
 
@@ -1134,7 +1094,7 @@ class InferenceGateway:
         endpoint.  A shard shed by an overloaded endpoint is retried on the
         least-loaded sibling within the request's retry budget (the
         request's own :class:`RetryBudget` when it carries one, else a
-        default pooled budget of ``retry_attempts`` hops per planned
+        default pooled budget of :data:`_RETRY_ATTEMPTS` hops per planned
         shard), and a straggling shard is hedged onto a sibling once its
         wait crosses :meth:`hedge_threshold`.  ``deadline_s`` propagates to
         every endpoint whose ``infer`` accepts it (remote sessions pass it
@@ -1149,9 +1109,9 @@ class InferenceGateway:
         budget = request.retry_budget
         if budget is None:
             budget = RetryBudget(
-                1 + self.retry_attempts * len(plan),
-                backoff_base_s=self.retry_backoff_base_s,
-                backoff_cap_s=self.retry_backoff_cap_s,
+                1 + _RETRY_ATTEMPTS * len(plan),
+                backoff_base_s=_RETRY_BACKOFF_BASE_S,
+                backoff_cap_s=_RETRY_BACKOFF_CAP_S,
             )
             # Shards carry the shared budget so endpoint-internal retries
             # (a PipelinedSession resubmitting after a dead connection)

@@ -52,13 +52,14 @@ class ElasticFleet:
     start_controller:
         Run the control loop on a background thread (default).  Pass False
         to drive :attr:`controller` manually (deterministic tests).
-    hedge_after_s / hedge_percentile:
-        Straggler-hedging knobs handed to the gateway (see
+    hedge_after_s:
+        Straggler threshold handed to the gateway (see
         :class:`InferenceGateway`): a shard stuck on a slow replica past
-        the threshold is duplicated onto a sibling, first result wins, the
-        loser is cancelled over the wire.  Both default to off.
-    start_method:
-        :mod:`multiprocessing` start method for replica processes.
+        it is duplicated onto a sibling, first result wins, the loser is
+        cancelled over the wire.  Defaults to off.
+
+    Replica processes start with the platform's default
+    :mod:`multiprocessing` start method.
     """
 
     def __init__(
@@ -69,15 +70,11 @@ class ElasticFleet:
         name: str = "fleet",
         start_controller: bool = True,
         hedge_after_s: float | None = None,
-        hedge_percentile: float | None = None,
-        start_method: str | None = None,
         boot_timeout_s: float = 120.0,
     ):
         self.name = name
         self.policy = policy or FleetPolicy()
-        self.manager = ReplicaManager(
-            spec, start_method=start_method, boot_timeout_s=boot_timeout_s
-        )
+        self.manager = ReplicaManager(spec, boot_timeout_s=boot_timeout_s)
         self.started_at = time.time()
         # Serialises scale actions (controller thread vs close()).
         self._scale_lock = threading.RLock()
@@ -89,7 +86,6 @@ class ElasticFleet:
             [self._as_endpoint(replica) for replica in replicas],
             name=name,
             hedge_after_s=hedge_after_s,
-            hedge_percentile=hedge_percentile,
         )
         self.controller = FleetController(self, self.policy)
         if start_controller:

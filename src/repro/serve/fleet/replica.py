@@ -22,9 +22,10 @@ The lifecycle protocol:
   serving loop, and the process terminates with exit code 0.  The manager
   joins the process, so when the call returns the OS resources are gone.
 
-Replicas inherit the parent's interpreter via :mod:`multiprocessing` (the
-platform default start method; pass ``start_method="spawn"`` for a fully
-fresh interpreter per replica at the cost of slower boots).
+Replicas start through :mod:`multiprocessing` with the platform default
+start method, and each replica's server sheds at a full queue (structured
+``overloaded``) when the spec bounds it with ``max_queue``.  The manager
+talks to each replica over one pipelined connection.
 """
 
 from __future__ import annotations
@@ -85,9 +86,7 @@ class ReplicaSpec:
     workload: str = "custom"
     host: str = "127.0.0.1"
     max_batch: int = 8
-    batch_window_s: float = 0.0
     max_queue: int = 0
-    shed_policy: str = "reject"
     dispatch_delay_s: float = 0.0
     log_dir: str | None = None
 
@@ -111,9 +110,7 @@ def _replica_main(spec: ReplicaSpec, replica_id: str, conn) -> None:
         port=0,
         workload=spec.workload,
         max_batch=spec.max_batch,
-        batch_window_s=spec.batch_window_s,
         max_queue=spec.max_queue,
-        shed_policy=spec.shed_policy,
         replica_id=replica_id,
     )
     # The socket is bound (constructor binds eagerly): hand the address to
@@ -173,29 +170,21 @@ class ReplicaManager:
     ----------
     spec:
         What every replica runs (:class:`ReplicaSpec`).
-    start_method:
-        :mod:`multiprocessing` start method (None = platform default).
     boot_timeout_s:
         Seconds one replica may take to build its chip, bind, and answer
         the health-check ping before the boot is declared failed.
-    client_connections:
-        Connection-pool size of each replica's :class:`PipelinedSession`.
     """
 
     def __init__(
         self,
         spec: ReplicaSpec,
         *,
-        start_method: str | None = None,
         boot_timeout_s: float = 120.0,
-        client_connections: int = 1,
     ):
         if boot_timeout_s <= 0:
             raise ValueError(f"boot_timeout_s must be > 0, got {boot_timeout_s}")
         self.spec = spec
         self.boot_timeout_s = float(boot_timeout_s)
-        self.client_connections = int(client_connections)
-        self._context = multiprocessing.get_context(start_method)
         self._lock = threading.RLock()
         self._replicas: list[Replica] = []
         self._ids = itertools.count(1)
@@ -219,8 +208,8 @@ class ReplicaManager:
     def start_replica(self) -> Replica:
         """Boot one replica process and health-check it (blocking)."""
         replica_id = f"{self.spec.workload}-r{next(self._ids)}"
-        parent_conn, child_conn = self._context.Pipe(duplex=False)
-        process = self._context.Process(
+        parent_conn, child_conn = multiprocessing.Pipe(duplex=False)
+        process = multiprocessing.Process(
             target=_replica_main,
             args=(self.spec, replica_id, child_conn),
             name=f"chip-replica-{replica_id}",
@@ -258,7 +247,7 @@ class ReplicaManager:
             remaining = max(0.5, deadline - time.monotonic())
             replica.client = PipelinedSession.connect(
                 replica.endpoint,
-                connections=self.client_connections,
+                connections=1,
                 timeout=remaining,
                 wait=remaining,
             )

@@ -445,6 +445,22 @@ class TestGateway:
         with pytest.raises(ValueError, match="capacity must be > 0"):
             GatewayEndpoint(target=session, capacity=-1)
 
+    def test_endpoint_names_stay_unique(self, workload):
+        # Unnamed endpoints of one type each keep their own books (and stay
+        # addressable by drain/remove); explicit duplicates are refused.
+        snn, config, _, _ = workload
+        sessions = [ChipSession(snn, config=config, timesteps=4, seed=0) for _ in range(3)]
+        with InferenceGateway(sessions[:2]) as gateway:
+            assert len(gateway.endpoint_loads()) == 2
+            added = gateway.add_endpoint(sessions[2])
+            assert len(gateway.endpoint_loads()) == 3
+            gateway.remove_endpoint(added.name)
+            assert len(gateway.endpoint_loads()) == 2
+        with pytest.raises(ValueError, match="already has an endpoint named 'x'"):
+            InferenceGateway(
+                [GatewayEndpoint(target=s, name="x") for s in sessions[:2]]
+            )
+
     def test_closed_gateway_rejects_requests(self, workload):
         snn, config, inputs, _ = workload
         session = ChipSession(snn, config=config, timesteps=4, seed=0)

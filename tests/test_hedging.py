@@ -41,6 +41,7 @@ from repro.serve.distributed import (
     InferenceGateway,
     RemoteServerError,
 )
+from repro.serve.distributed.gateway import _HEDGE_FLOOR_S
 from repro.serve.schema import ERROR_OVERLOADED
 from repro.snn import Dense, Network, convert_to_snn
 
@@ -132,6 +133,12 @@ class TestHedgedDispatch:
             _drain_inflight(gateway)
             gateway.close()
         assert gateway.tail_stats()["hedge_wasted_compute"] == 1
+
+    def test_hedge_threshold_is_the_floored_fixed_value(self, workload):
+        endpoint = _session(workload)
+        for after_s, expected in ((None, None), (1e-4, _HEDGE_FLOOR_S), (0.25, 0.25)):
+            with InferenceGateway([endpoint], hedge_after_s=after_s) as gateway:
+                assert gateway.hedge_threshold() == expected
 
     def test_hedge_never_fires_past_deadline(self, workload):
         snn, config, inputs = workload
@@ -306,8 +313,6 @@ class TestRetryBudgets:
                 GatewayEndpoint(target=_session(workload), capacity=1, name="ok"),
             ],
             adaptive=False,
-            retry_backoff_base_s=0.001,
-            retry_backoff_cap_s=0.002,
         )
         with gateway:
             response = gateway.infer(InferenceRequest(inputs=inputs))
@@ -343,6 +348,24 @@ class TestRetryBudgets:
         assert tail["retries"] == 1
         assert tail["budget_exhausted"] == 1
         _drain_inflight(gateway, timeout_s=5.0)
+
+    def test_default_budget_is_one_retry_per_planned_shard(self, workload):
+        # A request without its own budget gets 1 + k attempts pooled over
+        # its k planned shards.
+        _, _, inputs = workload
+        targets = [_AlwaysShedTarget() for _ in range(3)]
+        gateway = InferenceGateway(
+            [GatewayEndpoint(target=t, name=f"shed-{i}") for i, t in enumerate(targets)],
+            adaptive=False,
+        )
+        with gateway:
+            assert len(gateway.shard_plan(len(inputs))) == 3
+            future = gateway.submit(InferenceRequest(inputs=inputs))
+            with pytest.raises(RetryBudgetExhausted) as excinfo:
+                future.result(timeout=60)
+            _drain_inflight(gateway, timeout_s=5.0)
+        assert excinfo.value.attempts == 1 + 3
+        assert gateway.tail_stats()["retries"] == 3
 
     def test_exhaustion_error_names_attempts_and_cause(self):
         budget = RetryBudget(3)
