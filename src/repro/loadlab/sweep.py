@@ -98,13 +98,10 @@ def summarize_cell(
 
 
 def run_cell(
-    topology: str,
-    load: LoadSpec,
-    workload: LabWorkload,
-    **topology_options: object,
+    topology: str, load: LoadSpec, workload: LabWorkload
 ) -> dict[str, object]:
     """Build one topology, drive one load profile, summarise."""
-    with build_topology(topology, workload, **topology_options) as topo:
+    with build_topology(topology, workload) as topo:
 
         def make_request(index: int, rng: np.random.Generator):
             return workload.make_request(index, rng, load.batch_size)
@@ -174,7 +171,6 @@ def run_sweep(
     loads: list[LoadSpec],
     *,
     workload: LabWorkload | None = None,
-    topology_options: dict[str, object] | None = None,
     progress=None,
 ) -> dict[str, object]:
     """Run the full topology × load matrix and attach the statistics."""
@@ -184,9 +180,7 @@ def run_sweep(
         for load in loads:
             if progress is not None:
                 progress(f"cell {topology} × {load.label()}")
-            cells.append(
-                run_cell(topology, load, workload, **(topology_options or {}))
-            )
+            cells.append(run_cell(topology, load, workload))
     return {
         "cells": cells,
         "contrasts": _contrasts(cells),

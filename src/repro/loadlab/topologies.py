@@ -19,7 +19,11 @@ Shard-stable encoding makes every topology result-identical for the same
 request, so any throughput/latency/energy difference the sweep measures is
 pure serving overhead, never numerics.  Each builder returns a
 :class:`Topology` whose ``submit`` is thread-safe and whose ``close``
-tears the whole arrangement down.
+tears the whole arrangement down.  Topologies take no options: the pool
+runs :data:`JOBS` workers, every server and replica runs at the
+:class:`~repro.serve.distributed.ChipServer` defaults (dynamic batches of up
+to 8, an unbounded queue, no metrics endpoint), and the gateway and fleet
+front :data:`REPLICAS` of them.
 """
 
 from __future__ import annotations
@@ -49,6 +53,11 @@ __all__ = [
     "build_topology",
     "default_workload",
 ]
+
+#: Worker processes of the ``pool`` topology.
+JOBS = 2
+#: Servers and replicas behind the ``gateway`` and ``fleet`` topologies.
+REPLICAS = 2
 
 
 @dataclass(frozen=True)
@@ -141,16 +150,16 @@ class Topology:
         self.close()
 
 
-def _build_session(workload: LabWorkload, options: dict) -> Topology:
+def _build_session(workload: LabWorkload) -> Topology:
     session = workload.session_spec.build_session()
     # A bare session has no dispatch queue; serialize concurrent callers.
     return Topology("session", session.infer, lambda: None, serialized=True)
 
 
-def _build_pool(workload: LabWorkload, options: dict) -> Topology:
+def _build_pool(workload: LabWorkload) -> Topology:
     pool = ChipPool(
         workload.session_spec.snn,
-        jobs=int(options.get("jobs", 2)),
+        jobs=JOBS,
         config=workload.session_spec.config,
         timesteps=workload.session_spec.timesteps,
         seed=workload.session_spec.seed,
@@ -159,19 +168,14 @@ def _build_pool(workload: LabWorkload, options: dict) -> Topology:
     return Topology("pool", pool.infer, pool.close)
 
 
-def _start_server(workload: LabWorkload, options: dict, name: str) -> ChipServer:
+def _start_server(workload: LabWorkload, name: str) -> ChipServer:
     return ChipServer(
-        workload.session_spec.build_session(),
-        port=0,
-        workload=name,
-        max_batch=int(options.get("max_batch", 8)),
-        max_queue=int(options.get("max_queue", 0)),
-        metrics_port=0 if options.get("metrics") else None,
+        workload.session_spec.build_session(), port=0, workload=name
     ).start()
 
 
-def _build_server(workload: LabWorkload, options: dict) -> Topology:
-    server = _start_server(workload, options, "loadlab-server")
+def _build_server(workload: LabWorkload) -> Topology:
+    server = _start_server(workload, "loadlab-server")
     client = PipelinedSession.connect(server.address, connections=2)
 
     def close() -> None:
@@ -183,11 +187,8 @@ def _build_server(workload: LabWorkload, options: dict) -> Topology:
     return Topology("server", client.infer, close)
 
 
-def _build_gateway(workload: LabWorkload, options: dict) -> Topology:
-    replicas = int(options.get("replicas", 2))
-    servers = [
-        _start_server(workload, options, f"loadlab-gw-{i}") for i in range(replicas)
-    ]
+def _build_gateway(workload: LabWorkload) -> Topology:
+    servers = [_start_server(workload, f"loadlab-gw-{i}") for i in range(REPLICAS)]
     clients = [PipelinedSession.connect(s.address, connections=2) for s in servers]
     gateway = InferenceGateway(
         [
@@ -207,20 +208,14 @@ def _build_gateway(workload: LabWorkload, options: dict) -> Topology:
     return Topology("gateway", gateway.infer, close)
 
 
-def _build_fleet(workload: LabWorkload, options: dict) -> Topology:
+def _build_fleet(workload: LabWorkload) -> Topology:
     # Imported lazily: the fleet spawns real replica processes, which the
     # cheaper topologies never need.
     from repro.serve.fleet import ElasticFleet, FleetPolicy, ReplicaSpec
 
-    replicas = int(options.get("replicas", 2))
     fleet = ElasticFleet(
-        ReplicaSpec(
-            session_spec=workload.session_spec,
-            workload="loadlab-fleet",
-            max_batch=int(options.get("max_batch", 8)),
-            max_queue=int(options.get("max_queue", 0)),
-        ),
-        policy=FleetPolicy(min_replicas=replicas, max_replicas=replicas),
+        ReplicaSpec(session_spec=workload.session_spec, workload="loadlab-fleet"),
+        policy=FleetPolicy(min_replicas=REPLICAS, max_replicas=REPLICAS),
         name="loadlab-fleet",
         start_controller=False,
     )
@@ -236,12 +231,10 @@ TOPOLOGIES = {
 }
 
 
-def build_topology(
-    name: str, workload: LabWorkload, **options: object
-) -> Topology:
+def build_topology(name: str, workload: LabWorkload) -> Topology:
     """Build one named topology over ``workload`` (see :data:`TOPOLOGIES`)."""
     if name not in TOPOLOGIES:
         raise ValueError(
             f"unknown topology {name!r}; choose from {sorted(TOPOLOGIES)}"
         )
-    return TOPOLOGIES[name](workload, dict(options))
+    return TOPOLOGIES[name](workload)

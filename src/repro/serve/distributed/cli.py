@@ -23,21 +23,24 @@ Three subcommands, all runnable as ``python -m repro.serve.distributed``:
   responses are identical to the serial ones, tear the server down — then
   boot a bounded-queue server in process and drive one deliberately-shed
   request, asserting the structured ``overloaded`` reply while every
-  admitted request stays exact.  Exit code 0 means the whole loop works.
+  admitted request stays exact, and finally hold one gateway shard on a
+  gated straggler until a hedge wins it on the sibling, exactly.  Exit
+  code 0 means the whole loop works.
 
 * ``fleet`` — the elastic-fleet smoke: boot an
   :class:`~repro.serve.fleet.ElasticFleet` (replica processes behind one
   gateway, autoscaled by the hysteresis controller), flood it with an
   open-loop burst while synthetic per-dispatch latency manufactures
   sustained backlog, assert every merged response is bit-identical to a
-  serial single-session run (optionally that the controller scaled up),
-  then drain the whole fleet to zero and assert every replica process
-  exited cleanly::
+  serial single-session run and that the controller scaled up, print the
+  fleet status, then drain the whole fleet to zero and assert every
+  replica process exited cleanly (replica logs go to ``--log-dir``)::
 
       PYTHONPATH=src python -m repro.serve.distributed fleet \\
-          --workload mnist-mlp --scale 0.15 --timesteps 4 \\
-          --min-replicas 1 --max-replicas 3 --dispatch-delay 0.05 \\
-          --flood-requests 32 --expect-scale-up
+          --workload mnist-mlp --scale 0.15 --timesteps 4 --log-dir fleet-logs
+
+The two drives take no tuning flags: their sizes, bounds and the fleet's
+autoscaling policy are the module constants below, the values CI runs.
 """
 
 from __future__ import annotations
@@ -65,7 +68,6 @@ from repro.serve.distributed.server import ChipServer, load_benchmark_workload
 from repro.serve.fleet import ElasticFleet, FleetPolicy, ReplicaSpec
 from repro.serve.distributed.gateway import GatewayEndpoint, InferenceGateway
 from repro.serve.pool import ChipPool
-from repro.serve.retry import RetryBudget
 from repro.serve.schema import ERROR_OVERLOADED, InferenceRequest
 from repro.serve.session import ChipSession
 from repro.utils.units import format_energy
@@ -74,6 +76,33 @@ from repro.workloads import list_benchmarks
 __all__ = ["main"]
 
 MLP_BENCHMARKS = sorted(spec.name for spec in list_benchmarks(connectivity="MLP"))
+
+#: Test samples per smoke request, the smoke's per-request wait bound, and
+#: the seconds its server subprocess may take to boot.
+_SMOKE_SAMPLES = 4
+_SMOKE_TIMEOUT_S = 120.0
+_BOOT_TIMEOUT_S = 120.0
+#: Straggler threshold of the smoke's hedging drive.
+_SMOKE_HEDGE_AFTER_S = 0.05
+
+#: The fleet drive's autoscaling policy: boot one replica, scale up to three
+#: once backlog stays above one shard per replica for 0.2 s.
+_FLEET_POLICY = FleetPolicy(
+    min_replicas=1,
+    max_replicas=3,
+    interval_s=0.1,
+    target_backlog=1.0,
+    scale_up_stable_s=0.2,
+    cooldown_s=0.5,
+)
+#: Synthetic per-request latency in every fleet replica: it manufactures
+#: machine-independent backlog and leaves results unchanged.
+_FLEET_DISPATCH_DELAY_S = 0.05
+#: The open-loop flood: requests submitted at once, samples per request,
+#: and the wait bound on each response.
+_FLEET_FLOOD_REQUESTS = 32
+_FLEET_FLOOD_SAMPLES = 4
+_FLEET_TIMEOUT_S = 120.0
 
 
 def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
@@ -125,12 +154,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="chip execution backend",
     )
     serve.add_argument(
-        "--max-batch",
-        type=int,
-        default=8,
-        help="most queued compatible requests one dynamic batch may coalesce",
-    )
-    serve.add_argument(
         "--max-queue",
         type=int,
         default=0,
@@ -170,48 +193,17 @@ def _build_parser() -> argparse.ArgumentParser:
         help="per-request dispatch deadline enforced by the server "
         "(a structured 'deadline_exceeded' error once it passes)",
     )
-    infer.add_argument(
-        "--retry-attempts",
-        type=int,
-        default=None,
-        metavar="N",
-        help="attach a retry budget of N total attempts to the request "
-        "(reconnects back off with jitter and stop with a structured "
-        "budget-exhausted error; omit for the legacy single-retry path)",
-    )
 
     smoke = sub.add_parser(
         "smoke", help="boot a server subprocess, run a client inference, tear down"
     )
     _add_workload_arguments(smoke)
-    smoke.add_argument("--samples", type=int, default=4, help="test samples to send")
-    smoke.add_argument(
-        "--timeout",
-        type=float,
-        default=120.0,
-        help="connect timeout and per-request wait bound in seconds",
-    )
-    smoke.add_argument(
-        "--boot-timeout",
-        type=float,
-        default=120.0,
-        help="seconds to wait for the server to accept connections",
-    )
     smoke.add_argument(
         "--server-log",
         default=None,
         metavar="PATH",
         help="file the server subprocess logs to (default: a temp file); "
         "smoke dumps it when the check fails",
-    )
-    smoke.add_argument(
-        "--hedge-after",
-        type=float,
-        default=0.05,
-        metavar="SECONDS",
-        help="straggler threshold for the hedging drive: a gated endpoint "
-        "holds one shard past this long, the gateway must duplicate it to "
-        "the fast sibling and win there (0 skips the hedging drive)",
     )
 
     fleet = sub.add_parser(
@@ -220,112 +212,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_workload_arguments(fleet)
     fleet.add_argument(
-        "--min-replicas", type=int, default=1, help="fleet floor (policy bound)"
-    )
-    fleet.add_argument(
-        "--max-replicas", type=int, default=3, help="fleet ceiling (policy bound)"
-    )
-    fleet.add_argument(
-        "--interval",
-        type=float,
-        default=0.1,
-        help="controller sampling interval in seconds",
-    )
-    fleet.add_argument(
-        "--target-backlog",
-        type=float,
-        default=1.0,
-        help="per-replica EWMA pressure that triggers a scale-up",
-    )
-    fleet.add_argument(
-        "--idle-backlog",
-        type=float,
-        default=0.25,
-        help="per-replica EWMA pressure under which the fleet is idle",
-    )
-    fleet.add_argument(
-        "--up-stable",
-        type=float,
-        default=0.2,
-        help="seconds the pressure must stay above target before scaling up",
-    )
-    fleet.add_argument(
-        "--down-stable",
-        type=float,
-        default=5.0,
-        help="seconds the fleet must stay idle before scaling down",
-    )
-    fleet.add_argument(
-        "--cooldown",
-        type=float,
-        default=0.5,
-        help="minimum seconds between any two scale actions",
-    )
-    fleet.add_argument(
-        "--dispatch-delay",
-        type=float,
-        default=0.05,
-        help="synthetic per-dispatch latency injected in every replica "
-        "(manufactures machine-independent backlog; results are unchanged)",
-    )
-    fleet.add_argument(
-        "--flood-requests",
-        type=int,
-        default=32,
-        help="open-loop burst size (requests submitted all at once)",
-    )
-    fleet.add_argument(
-        "--flood-samples",
-        type=int,
-        default=4,
-        help="samples per flood request",
-    )
-    fleet.add_argument(
-        "--expect-scale-up",
-        action="store_true",
-        help="fail unless the controller scaled up during the flood",
-    )
-    fleet.add_argument(
-        "--run-for",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="idle observation window after the flood (lets a small "
-        "--down-stable demonstrate scale-down before teardown)",
-    )
-    fleet.add_argument(
-        "--timeout",
-        type=float,
-        default=120.0,
-        help="per-future wait bound for flood responses, in seconds",
-    )
-    fleet.add_argument(
-        "--boot-timeout",
-        type=float,
-        default=120.0,
-        help="seconds one replica may take to boot and answer its health check",
-    )
-    fleet.add_argument(
         "--log-dir",
         default=None,
         metavar="DIR",
         help="directory replica processes log to ({replica_id}.log); "
         "CI dumps these on failure",
-    )
-    fleet.add_argument(
-        "--hedge-after",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="hedge a shard stuck on one replica past this many seconds "
-        "onto the least-loaded sibling (first result wins, the loser is "
-        "cancelled over the wire; omit to disable hedging)",
-    )
-    fleet.add_argument(
-        "--status-json",
-        default=None,
-        metavar="PATH",
-        help="also write the final fleet status dump to this file",
     )
     return parser
 
@@ -339,38 +230,15 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
         parser.error(f"--timesteps must be >= 1, got {args.timesteps}")
     if args.scale <= 0:
         parser.error(f"--scale must be > 0, got {args.scale}")
-    if getattr(args, "max_batch", 1) < 1:
-        parser.error(f"--max-batch must be >= 1, got {args.max_batch}")
     if getattr(args, "max_queue", 0) < 0:
         parser.error(f"--max-queue must be >= 0, got {args.max_queue}")
     if getattr(args, "timeout", 1.0) <= 0:
         parser.error(f"--timeout must be > 0 seconds, got {args.timeout}")
     if getattr(args, "deadline", None) is not None and args.deadline <= 0:
         parser.error(f"--deadline must be > 0 seconds, got {args.deadline}")
-    if getattr(args, "retry_attempts", None) is not None and args.retry_attempts < 1:
-        parser.error(f"--retry-attempts must be >= 1, got {args.retry_attempts}")
-    if args.command == "smoke" and args.hedge_after < 0:
-        parser.error(f"--hedge-after must be >= 0 seconds, got {args.hedge_after}")
     if getattr(args, "endpoint", None) is not None:
         try:
             parse_endpoint(args.endpoint)
-        except ValueError as exc:
-            parser.error(str(exc))
-    if args.command == "fleet":
-        if args.flood_requests < 1:
-            parser.error(f"--flood-requests must be >= 1, got {args.flood_requests}")
-        if args.flood_samples < 1:
-            parser.error(f"--flood-samples must be >= 1, got {args.flood_samples}")
-        if args.dispatch_delay < 0:
-            parser.error(f"--dispatch-delay must be >= 0, got {args.dispatch_delay}")
-        if args.run_for < 0:
-            parser.error(f"--run-for must be >= 0, got {args.run_for}")
-        if args.hedge_after is not None and args.hedge_after <= 0:
-            parser.error(
-                f"--hedge-after must be > 0 seconds, got {args.hedge_after}"
-            )
-        try:
-            _fleet_policy(args)
         except ValueError as exc:
             parser.error(str(exc))
 
@@ -393,14 +261,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
             workload=args.workload,
-            max_batch=args.max_batch,
             max_queue=args.max_queue,
             metrics_port=args.metrics_port,
         ) as server:
             host, port = server.address
             print(
                 f"chip-server: {args.workload} ({args.backend}, jobs={args.jobs}, "
-                f"max_batch={args.max_batch}, "
+                f"max_batch={server.max_batch}, "
                 f"max_queue={args.max_queue or 'unbounded'}) "
                 f"listening on {host}:{port}",
                 flush=True,
@@ -420,19 +287,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _test_request(args: argparse.Namespace, samples: int) -> InferenceRequest:
+    """The workload's first ``samples`` test samples, labels attached."""
+    workload = load_benchmark_workload(args.workload, scale=args.scale, seed=args.seed)
+    n = min(samples, len(workload.test_inputs))
+    return InferenceRequest(
+        inputs=workload.test_inputs[:n], labels=workload.test_labels[:n]
+    )
+
+
 def _client_inference(
     remote: PipelinedSession, args: argparse.Namespace
 ) -> tuple[InferenceRequest, object]:
-    workload = load_benchmark_workload(args.workload, scale=args.scale, seed=args.seed)
-    n = min(args.samples, len(workload.test_inputs))
-    request = InferenceRequest(
-        inputs=workload.test_inputs[:n], labels=workload.test_labels[:n]
-    )
-    retry_attempts = getattr(args, "retry_attempts", None)
-    if retry_attempts is not None:
-        request = request.with_retry_budget(RetryBudget(retry_attempts))
-    deadline_s = getattr(args, "deadline", None)
-    response = remote.submit(request, deadline_s=deadline_s).result(args.timeout)
+    request = _test_request(args, args.samples)
+    response = remote.submit(request, deadline_s=args.deadline).result(args.timeout)
     return request, response
 
 
@@ -698,7 +566,7 @@ def _smoke_load_shedding(args: argparse.Namespace) -> None:
             workload.snn, timesteps=args.timesteps, encoder="poisson", seed=args.seed
         )
 
-    n = min(args.samples, len(workload.test_inputs))
+    n = min(_SMOKE_SAMPLES, len(workload.test_inputs))
     head = InferenceRequest(inputs=workload.test_inputs[:n])
     queued = InferenceRequest(inputs=workload.test_inputs[:n], sample_offset=n)
     serial = session()
@@ -708,7 +576,7 @@ def _smoke_load_shedding(args: argparse.Namespace) -> None:
         gate, port=0, workload=args.workload, max_queue=1
     ).start() as server:
         with PipelinedSession.connect(
-            server.address, connections=1, timeout=args.timeout
+            server.address, connections=1, timeout=_SMOKE_TIMEOUT_S
         ) as client:
             info = client.info()
             print(
@@ -718,11 +586,11 @@ def _smoke_load_shedding(args: argparse.Namespace) -> None:
                 flush=True,
             )
             future_head = client.submit(head)
-            assert gate.entered.wait(timeout=args.timeout), (
+            assert gate.entered.wait(timeout=_SMOKE_TIMEOUT_S), (
                 "first request never reached the work thread"
             )
             future_queued = client.submit(queued)
-            deadline = time.monotonic() + args.timeout
+            deadline = time.monotonic() + _SMOKE_TIMEOUT_S
             while client.info(refresh=True).get("queue_depth", 0) < 1:
                 assert time.monotonic() < deadline, (
                     "second request never reached the server queue"
@@ -730,7 +598,7 @@ def _smoke_load_shedding(args: argparse.Namespace) -> None:
                 time.sleep(0.01)
             # Queue full (bound 1), worker busy: this one must be shed.
             try:
-                client.submit(head).result(timeout=args.timeout)
+                client.submit(head).result(timeout=_SMOKE_TIMEOUT_S)
                 raise AssertionError("third request was not shed by the full queue")
             except RemoteServerError as exc:
                 assert exc.code == ERROR_OVERLOADED, (
@@ -738,8 +606,8 @@ def _smoke_load_shedding(args: argparse.Namespace) -> None:
                     f"code={exc.code!r} ({exc})"
                 )
             gate.release.set()
-            got_head = future_head.result(timeout=args.timeout)
-            got_queued = future_queued.result(timeout=args.timeout)
+            got_head = future_head.result(timeout=_SMOKE_TIMEOUT_S)
+            got_queued = future_queued.result(timeout=_SMOKE_TIMEOUT_S)
             assert np.array_equal(got_head.predictions, expected_head.predictions), (
                 "admitted head request diverged from the serial run"
             )
@@ -761,7 +629,7 @@ def _smoke_hedging(args: argparse.Namespace) -> None:
 
     An in-process gateway over two endpoints: a gated straggler (holds its
     shard until released) and a fast sibling.  The straggler's shard must
-    trip the ``--hedge-after`` threshold, get duplicated onto the sibling
+    trip the :data:`_SMOKE_HEDGE_AFTER_S` threshold, get duplicated onto the sibling
     and win there — while the merged response stays bit-identical to the
     serial single-session run.  The gate opens only *after* the merged
     response landed, so the win can only have come from the hedge.
@@ -773,7 +641,7 @@ def _smoke_hedging(args: argparse.Namespace) -> None:
             workload.snn, timesteps=args.timesteps, encoder="poisson", seed=args.seed
         )
 
-    n = min(args.samples, len(workload.test_inputs))
+    n = min(_SMOKE_SAMPLES, len(workload.test_inputs))
     request = InferenceRequest(inputs=workload.test_inputs[:n])
     expected = session().infer(request)
     gate = _GatedTarget(session())
@@ -784,10 +652,10 @@ def _smoke_hedging(args: argparse.Namespace) -> None:
         ],
         name="smoke-hedge",
         adaptive=False,
-        hedge_after_s=args.hedge_after,
+        hedge_after_s=_SMOKE_HEDGE_AFTER_S,
     )
     try:
-        response = gateway.submit(request).result(timeout=args.timeout)
+        response = gateway.submit(request).result(timeout=_SMOKE_TIMEOUT_S)
         tail = gateway.tail_stats()
     finally:
         # The straggler's worker is still blocked on the gate; open it
@@ -815,7 +683,7 @@ def _smoke_hedging(args: argparse.Namespace) -> None:
         f"{response.metadata['shards']}"
     )
     print(
-        f"smoke: hedging ok (straggler held past {args.hedge_after:.3f}s, "
+        f"smoke: hedging ok (straggler held past {_SMOKE_HEDGE_AFTER_S:.3f}s, "
         f"{tail['hedges_issued']} hedge(s) issued, "
         f"{tail['hedge_wins']} won on the sibling, merged response exact)",
         flush=True,
@@ -846,12 +714,14 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
             command, stdout=log_file, stderr=subprocess.STDOUT, text=True
         )
         try:
-            address = _wait_for_listening_line(proc, log_path, args.boot_timeout)
+            address = _wait_for_listening_line(proc, log_path, _BOOT_TIMEOUT_S)
             with _connect_to_booting_server(
-                proc, address, args.boot_timeout, args.timeout
+                proc, address, _BOOT_TIMEOUT_S, _SMOKE_TIMEOUT_S
             ) as remote:
-                assert remote.ping(timeout=args.timeout), "server did not answer ping"
-                info = remote.info(timeout=args.timeout)
+                assert remote.ping(timeout=_SMOKE_TIMEOUT_S), (
+                    "server did not answer ping"
+                )
+                info = remote.info(timeout=_SMOKE_TIMEOUT_S)
                 assert info["workload"] == args.workload, f"wrong workload: {info}"
                 assert info["replica_id"], f"server info lacks a replica id: {info}"
                 assert info["state"] == "serving", f"unexpected server state: {info}"
@@ -871,8 +741,9 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
                     f"(uptime {info['uptime_s']:.2f}s)",
                     flush=True,
                 )
-                request, first = _client_inference(remote, args)
-                again = remote.submit(request).result(args.timeout)
+                request = _test_request(args, _SMOKE_SAMPLES)
+                first = remote.submit(request).result(_SMOKE_TIMEOUT_S)
+                again = remote.submit(request).result(_SMOKE_TIMEOUT_S)
                 assert first.batch_size == request.batch_size
                 assert len(first.predictions) == request.batch_size
                 assert first.energy.total_j > 0, "served response carries no energy"
@@ -887,8 +758,8 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
                     f"deterministic round trip ok",
                     flush=True,
                 )
-                _smoke_pipelined_clients(address, remote, request, args.timeout)
-                _smoke_metrics(remote, args.timeout)
+                _smoke_pipelined_clients(address, remote, request, _SMOKE_TIMEOUT_S)
+                _smoke_metrics(remote, _SMOKE_TIMEOUT_S)
                 remote.shutdown_server()
             returncode = proc.wait(timeout=30)
             assert returncode == 0, f"server exited with {returncode}"
@@ -905,24 +776,9 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
                 except subprocess.TimeoutExpired:
                     proc.kill()
     _smoke_load_shedding(args)
-    if args.hedge_after > 0:
-        _smoke_hedging(args)
+    _smoke_hedging(args)
     print("smoke: OK", flush=True)
     return 0
-
-
-def _fleet_policy(args: argparse.Namespace) -> FleetPolicy:
-    """Translate fleet CLI flags into a validated :class:`FleetPolicy`."""
-    return FleetPolicy(
-        min_replicas=args.min_replicas,
-        max_replicas=args.max_replicas,
-        interval_s=args.interval,
-        target_backlog=args.target_backlog,
-        scale_up_stable_s=args.up_stable,
-        idle_backlog=args.idle_backlog,
-        scale_down_stable_s=args.down_stable,
-        cooldown_s=args.cooldown,
-    )
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
@@ -943,17 +799,16 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             encoder_state=serial.encoder_state,
         ),
         workload=args.workload,
-        dispatch_delay_s=args.dispatch_delay,
+        dispatch_delay_s=_FLEET_DISPATCH_DELAY_S,
         log_dir=args.log_dir,
     )
-    policy = _fleet_policy(args)
 
     # The flood: an open-loop burst of shard-offset-tagged requests.  The
     # serial session (no synthetic delay) computes the ground truth — every
     # fleet answer must match it bit-for-bit regardless of placement.
-    n = min(args.flood_samples, len(workload.test_inputs))
+    n = min(_FLEET_FLOOD_SAMPLES, len(workload.test_inputs))
     requests = []
-    for index in range(args.flood_requests):
+    for index in range(_FLEET_FLOOD_REQUESTS):
         start = (index * n) % max(1, len(workload.test_inputs) - n + 1)
         requests.append(
             InferenceRequest(
@@ -963,16 +818,12 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     expected = [serial.infer(request) for request in requests]
 
     print(
-        f"fleet: booting {policy.min_replicas} replica(s) of {args.workload} "
-        f"(max {policy.max_replicas}, dispatch delay {args.dispatch_delay:.3f}s)",
+        f"fleet: booting {_FLEET_POLICY.min_replicas} replica(s) of "
+        f"{args.workload} (max {_FLEET_POLICY.max_replicas}, dispatch delay "
+        f"{_FLEET_DISPATCH_DELAY_S:.3f}s)",
         flush=True,
     )
-    with ElasticFleet(
-        spec,
-        policy=policy,
-        boot_timeout_s=args.boot_timeout,
-        hedge_after_s=args.hedge_after,
-    ) as fleet:
+    with ElasticFleet(spec, policy=_FLEET_POLICY) as fleet:
         flood_started = time.monotonic()
         futures = [fleet.submit(request) for request in requests]
         print(
@@ -981,7 +832,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             flush=True,
         )
         for request, future, want in zip(requests, futures, expected):
-            got = future.result(timeout=args.timeout)
+            got = future.result(timeout=_FLEET_TIMEOUT_S)
             assert np.array_equal(got.predictions, want.predictions), (
                 f"fleet response at offset {request.sample_offset} diverged "
                 f"from the serial run"
@@ -991,12 +842,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
                 f"diverged from the serial run"
             )
         flood_s = time.monotonic() - flood_started
-        if args.run_for > 0:
-            print(
-                f"fleet: idling {args.run_for:.1f}s (scale-down window)",
-                flush=True,
-            )
-            time.sleep(args.run_for)
         status = fleet.fleet_status()
         actions = status["controller"]["actions"]
         events = [
@@ -1016,15 +861,11 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
                 f"(pressure {event['pressure']:.2f})",
                 flush=True,
             )
-        if args.expect_scale_up:
-            assert actions["scale_up"] >= 1, (
-                f"controller never scaled up under the flood: {status}"
-            )
+        assert actions["scale_up"] >= 1, (
+            f"controller never scaled up under the flood: {status}"
+        )
         replicas = fleet.manager.replicas
         dump = json.dumps(status, indent=2, sort_keys=True, default=str)
-        if args.status_json:
-            with open(args.status_json, "w", encoding="utf-8") as handle:
-                handle.write(dump + "\n")
         print(f"fleet: status {dump}", flush=True)
     # close() drained every replica; the drain contract says each process
     # answered its queue and exited cleanly.

@@ -24,8 +24,18 @@ overloaded or draining server *sheds* (structured ``overloaded`` /
 ``draining`` error) is retried on the least-loaded sibling endpoint within
 the request's :class:`~repro.serve.retry.RetryBudget` (jittered backoff
 between hops; exhaustion surfaces as a structured
-:class:`~repro.serve.retry.RetryBudgetExhausted`), and per-request deadlines
-propagate to every endpoint that understands them.
+:class:`~repro.serve.retry.RetryBudgetExhausted`).
+
+One rule says how an endpoint is called.  A target with ``submit`` is a
+*pipelined* endpoint: it gets ``submit(request)`` — or
+``submit(request, deadline_s=...)`` when the request has a deadline — and
+hands back a cancellable :class:`~concurrent.futures.Future`.  Any other
+target is *local* and gets ``infer(request)``: it computes at once, so a
+deadline has nothing to shed there.  A request deadline runs from
+:meth:`InferenceGateway.submit`, not from each hop: every pipelined attempt
+is sent only the time that remains (time spent waiting for the endpoint or
+backing off after a shed counts), and an attempt with no time left is not
+sent at all but fails with a structured ``deadline_exceeded`` error.
 
 The gateway also mitigates *stragglers*: with hedging enabled
 (``hedge_after_s``), a shard whose wait exceeds that threshold is
@@ -78,7 +88,6 @@ regardless of completion order, so the merged numbers are deterministic.
 from __future__ import annotations
 
 import contextlib
-import inspect
 import threading
 import time
 from concurrent.futures import (
@@ -102,6 +111,7 @@ from repro.serve.metrics import (
 )
 from repro.serve.retry import RetryBudget, RetryBudgetExhausted
 from repro.serve.schema import (
+    ERROR_DEADLINE_EXCEEDED,
     ERROR_DRAINING,
     ERROR_OVERLOADED,
     InferenceRequest,
@@ -154,20 +164,6 @@ class GatewayEndpoint:
     #: Draining (graceful retirement): the planner, shed-retry and moves
     #: skip this endpoint, but shards already placed on it run to completion.
     draining: bool = field(default=False, init=False, repr=False, compare=False)
-    #: Whether ``target.infer`` accepts a ``deadline_s`` keyword (remote
-    #: sessions do; local sessions execute immediately, so there is nothing
-    #: for a deadline to shed).
-    supports_deadline: bool = field(
-        default=False, init=False, repr=False, compare=False
-    )
-    #: Whether ``target.submit`` exists (pipelined remotes): hedged dispatch
-    #: then gets a cancellable future, so losing attempts can be revoked on
-    #: the server instead of computing an orphaned answer.
-    supports_submit: bool = field(default=False, init=False, repr=False, compare=False)
-    #: Whether that ``submit`` accepts a ``deadline_s`` keyword.
-    submit_supports_deadline: bool = field(
-        default=False, init=False, repr=False, compare=False
-    )
     #: Hedges issued *against* this endpoint (its shard straggled and was
     #: duplicated elsewhere) — a fleet controller's slow-replica signal.
     hedges: int = field(default=0, init=False, repr=False, compare=False)
@@ -197,21 +193,6 @@ class GatewayEndpoint:
         if not self.name:
             self.name = type(self.target).__name__.lower()
             self.auto_named = True
-        try:
-            self.supports_deadline = (
-                "deadline_s" in inspect.signature(self.target.infer).parameters
-            )
-        except (TypeError, ValueError):  # builtins / exotic callables
-            self.supports_deadline = False
-        submitter = getattr(self.target, "submit", None)
-        if callable(submitter):
-            try:
-                self.submit_supports_deadline = (
-                    "deadline_s" in inspect.signature(submitter).parameters
-                )
-                self.supports_submit = True
-            except (TypeError, ValueError):
-                self.supports_submit = False
 
 
 @dataclass
@@ -289,13 +270,14 @@ class _MergeState:
                 # can branch on the type.
                 self.result.set_exception(exc)
                 return
-            self.result.set_exception(
-                RuntimeError(
-                    f"gateway endpoint {shard.endpoint.name!r} failed on "
-                    f"shard [{shard.start}:{shard.stop}): "
-                    f"{type(exc).__name__}: {exc}"
-                )
+            error = RuntimeError(
+                f"gateway endpoint {shard.endpoint.name!r} failed on "
+                f"shard [{shard.start}:{shard.stop}): "
+                f"{type(exc).__name__}: {exc}"
             )
+            # Chained, so callers can still read a structured ``code``.
+            error.__cause__ = exc
+            self.result.set_exception(error)
             return
         response: InferenceResponse = future.result()
         with self.lock:
@@ -513,10 +495,13 @@ class _ShardRun:
         if already_won:  # lost before ever starting (pool queue)
             self._attempt_cancelled(attempt)
             return
+        deadline_at = (
+            None if self.deadline_s is None else self.started_at + self.deadline_s
+        )
         while True:
             try:
                 response = self.gateway._infer_on_attempt(
-                    attempt, self.sub_request, self.deadline_s
+                    attempt, self.sub_request, deadline_at
                 )
             except CancelledError:
                 self._attempt_cancelled(attempt)
@@ -1007,7 +992,7 @@ class InferenceGateway:
         self,
         attempt: _ShardAttempt,
         sub_request: InferenceRequest,
-        deadline_s: float | None,
+        deadline_at: float | None,
     ) -> InferenceResponse:
         # One shard at a time per endpoint: endpoints own their internal
         # concurrency (pools shard further, pipelined remotes pipeline),
@@ -1016,25 +1001,30 @@ class InferenceGateway:
         # not here, so queued-but-unstarted shards count too.
         endpoint = self._claim_endpoint(attempt)
         try:
-            if endpoint.supports_submit:
-                # Dispatch through submit() so the in-flight work has a
-                # cancellable handle: if this attempt loses a hedge race,
-                # cancel() revokes it (frees the server queue slot) and
-                # unblocks this worker with CancelledError.
-                if deadline_s is not None and endpoint.submit_supports_deadline:
-                    future = endpoint.target.submit(
-                        sub_request, deadline_s=deadline_s
+            # Looked up per call, so wrappers installed on the target after
+            # the gateway was built still apply.
+            submit = getattr(endpoint.target, "submit", None)
+            if submit is None:
+                # Local targets compute at once: no deadline to shed.
+                return endpoint.target.infer(sub_request)
+            # Pipelined: the future is a cancellable handle, so an attempt
+            # that loses a hedge race can revoke its server-side work and
+            # unblock this worker with CancelledError.
+            if deadline_at is None:
+                future = submit(sub_request)
+            else:
+                remaining = deadline_at - time.monotonic()
+                if remaining <= 0:
+                    raise RemoteServerError(
+                        "deadline expired before the shard was dispatched",
+                        code=ERROR_DEADLINE_EXCEEDED,
                     )
-                else:
-                    future = endpoint.target.submit(sub_request)
-                attempt.wire_future = future
-                try:
-                    return future.result()
-                finally:
-                    attempt.wire_future = None
-            if deadline_s is not None and endpoint.supports_deadline:
-                return endpoint.target.infer(sub_request, deadline_s=deadline_s)
-            return endpoint.target.infer(sub_request)
+                future = submit(sub_request, deadline_s=remaining)
+            attempt.wire_future = future
+            try:
+                return future.result()
+            finally:
+                attempt.wire_future = None
         finally:
             endpoint.lock.release()
             with self._load_lock:
@@ -1096,10 +1086,12 @@ class InferenceGateway:
         request's own :class:`RetryBudget` when it carries one, else a
         default pooled budget of :data:`_RETRY_ATTEMPTS` hops per planned
         shard), and a straggling shard is hedged onto a sibling once its
-        wait crosses :meth:`hedge_threshold`.  ``deadline_s`` propagates to
-        every endpoint whose ``infer`` accepts it (remote sessions pass it
-        to the server's admission control).  Safe to call again before
-        earlier batches resolve — batches pipeline across the endpoints.
+        wait crosses :meth:`hedge_threshold`.  ``deadline_s`` runs from
+        this call: pipelined endpoints are sent the time left, an attempt
+        with none left fails unsent with ``deadline_exceeded`` (the
+        ``__cause__`` of the surfaced error), and local endpoints ignore
+        it.  Safe to call again before earlier batches resolve — batches
+        pipeline across the endpoints.
         """
         if self._closed:
             raise RuntimeError("gateway is closed")

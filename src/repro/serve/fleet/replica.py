@@ -48,10 +48,12 @@ __all__ = ["Replica", "ReplicaManager", "ReplicaSpec"]
 class _DelayedTarget:
     """Inject synthetic per-dispatch latency (the fleet's load lab).
 
-    Wraps the replica's session so every dispatch sleeps first — a
+    Wraps the replica's session so every request sleeps first — a
     machine-independent way to manufacture sustained backlog in tests,
     benchmarks and smoke runs.  Results are untouched: the sleep happens
-    before the exact same ``infer``/``infer_many`` call.
+    before the exact same ``infer`` call.  There is no ``infer_many``: a
+    coalesced server dispatch then falls back to one ``infer`` per request,
+    and each request pays its delay.
     """
 
     def __init__(self, session, delay_s: float):
@@ -64,10 +66,6 @@ class _DelayedTarget:
     def infer(self, request):
         time.sleep(self._delay_s)
         return self._session.infer(request)
-
-    def infer_many(self, requests):
-        time.sleep(self._delay_s)
-        return self._session.infer_many(requests)
 
 
 @dataclass(frozen=True)

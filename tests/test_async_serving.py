@@ -24,7 +24,7 @@ import re
 import socket
 import threading
 import time
-from concurrent.futures import CancelledError, ThreadPoolExecutor
+from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -968,7 +968,7 @@ class _SheddingTarget:
 
 
 class _DeadlineRecorder:
-    """Endpoint recording the deadline_s its infer() receives."""
+    """Pipelined endpoint recording the deadline_s its submit() receives."""
 
     capacity = 1
 
@@ -976,9 +976,14 @@ class _DeadlineRecorder:
         self._session = session
         self.seen: list[float | None] = []
 
-    def infer(self, request, deadline_s: float | None = None):
+    def infer(self, request):
+        raise AssertionError("a target with submit() must be called through it")
+
+    def submit(self, request, deadline_s: float | None = None) -> Future:
         self.seen.append(deadline_s)
-        return self._session.infer(request)
+        future: Future = Future()
+        future.set_result(self._session.infer(request))
+        return future
 
 
 def _hold_shards(gateway, gate, request, gated: str, count: int):
@@ -1161,9 +1166,12 @@ class TestAdaptiveGateway:
     def test_deadline_propagates_to_supporting_endpoints(
         self, workload, single_session
     ):
+        # A pipelined endpoint receives the time left of the deadline; a
+        # local one gets plain infer(request) (a ChipSession would reject
+        # a deadline_s keyword).
         _, _, inputs, labels = workload
         recorder = _DeadlineRecorder(_fresh_session(workload))
-        plain = _fresh_session(workload)  # no deadline_s parameter
+        plain = _fresh_session(workload)
         request = InferenceRequest(inputs=inputs, labels=labels)
         with InferenceGateway(
             [
@@ -1173,7 +1181,40 @@ class TestAdaptiveGateway:
         ) as gateway:
             response = gateway.infer(request, deadline_s=7.5)
         _assert_identical(single_session.infer(request), response)
-        assert recorder.seen == [7.5]
+        assert len(recorder.seen) == 1
+        assert 0 < recorder.seen[0] <= 7.5
+
+    def test_deadline_runs_from_gateway_submit_not_from_each_hop(
+        self, workload, single_session
+    ):
+        # A shard that waited for its endpoint past the request deadline is
+        # not sent with a fresh deadline: it fails with the server's
+        # structured code and never reaches the server.
+        _, _, inputs, labels = workload
+        gate = _GateTarget(_fresh_session(workload))
+        head = InferenceRequest(inputs=inputs, labels=labels)
+        late = InferenceRequest(inputs=inputs[:4], sample_offset=4)
+        with ChipServer(gate, port=0, workload="remaining-deadline").start() as server:
+            with PipelinedSession.connect(server.address) as client:
+                with InferenceGateway(
+                    [GatewayEndpoint(target=client, name="remote")]
+                ) as gateway:
+                    first = gateway.submit(head)
+                    assert gate.entered.wait(timeout=10), "head dispatch never ran"
+                    doomed = gateway.submit(late, deadline_s=0.2)
+                    time.sleep(0.35)  # sail past the deadline behind the head
+                    gate.release.set()
+                    _assert_identical(
+                        single_session.infer(head), first.result(timeout=30)
+                    )
+                    with pytest.raises(RuntimeError) as excinfo:
+                        doomed.result(timeout=30)
+                final = client.info(refresh=True)
+        cause = excinfo.value.__cause__
+        assert isinstance(cause, RemoteServerError), excinfo.value
+        assert cause.code == ERROR_DEADLINE_EXCEEDED
+        assert gate.dispatches == [1], "the expired shard still reached the server"
+        assert final["stats"]["requests"] == 1
 
 
 # -- experiment wiring --------------------------------------------------------------
@@ -1253,10 +1294,10 @@ class TestServeCli:
             ["infer", "--endpoint", "127.0.0.1:7070", "--deadline", "-2"],
             ["infer", "--endpoint", "127.0.0.1:0"],
             ["infer", "--endpoint", "127.0.0.1:7070", "--wire", "json"],
-            ["smoke", "--timeout", "0"],
+            ["smoke", "--timeout", "0"],  # retired: the smoke takes no bounds
             ["smoke", "--wire", "json"],
             ["smoke", "--jobs", "2"],  # retired: the smoke server runs jobs=1
-            ["serve", "--max-batch", "0"],
+            ["serve", "--max-batch", "0"],  # retired: servers batch up to 8
             ["serve", "--max-queue", "-1"],
             ["serve", "--shed-policy", "block"],  # retired: a full queue sheds
             ["serve", "--executor", "thread"],  # retired: jobs picks sharding

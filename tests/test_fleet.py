@@ -44,7 +44,8 @@ from repro.serve.fleet import (
     ReplicaManager,
     ReplicaSpec,
 )
-from repro.serve.schema import ERROR_DRAINING, ERROR_OVERLOADED
+from repro.serve.fleet.replica import _DelayedTarget
+from repro.serve.schema import ERROR_DRAINING
 from repro.snn import Dense, Network, convert_to_snn
 
 ENERGY_RTOL = 1e-9
@@ -165,6 +166,49 @@ class TestReplicaLifecycle:
         assert len(manager) == 0
         assert not replica.alive
         assert replica.exitcode == 0, "drained replica must exit cleanly"
+
+    def test_delayed_target_serves_coalesced_dispatches(
+        self, workload, single_session
+    ):
+        # Regression: the delay wrapper forwarded infer_many to a bare
+        # ChipSession, which has none, so every coalesced dispatch failed.
+        _, _, inputs, _ = workload
+        gate = _GatedTarget(_fresh_session(workload))
+        head = InferenceRequest(inputs=inputs[:3])
+        queued = [
+            InferenceRequest(inputs=inputs[3:6], sample_offset=3),
+            InferenceRequest(inputs=inputs[6:10], sample_offset=6),
+        ]
+        with ChipServer(
+            _DelayedTarget(gate, 0.05), port=0, workload="fleet-delayed"
+        ).start() as server:
+            clients = [
+                PipelinedSession.connect(server.address, connections=1)
+                for _ in queued
+            ]
+            try:
+                future_head = clients[0].submit(head)
+                assert gate.entered.wait(timeout=30), "head dispatch never ran"
+                futures = [
+                    client.submit(request) for client, request in zip(clients, queued)
+                ]
+                deadline = time.monotonic() + 30
+                while server._backlog < len(queued):  # noqa: SLF001
+                    assert time.monotonic() < deadline, "requests never queued"
+                    time.sleep(0.005)
+                gate.release.set()
+                _assert_identical(
+                    single_session.infer(head), future_head.result(timeout=60)
+                )
+                for request, future in zip(queued, futures):
+                    _assert_identical(
+                        single_session.infer(request), future.result(timeout=60)
+                    )
+                stats = dict(server.stats)
+            finally:
+                for client in clients:
+                    client.close()
+        assert stats["max_coalesced"] == len(queued)
 
     def test_drain_of_dead_replica_is_clean(self, session_spec):
         spec = ReplicaSpec(session_spec=session_spec, workload="fleet-dead")
