@@ -1,8 +1,9 @@
 """Wall-clock comparison of process shard workers against one session.
 
 A ``jobs > 1`` pool shards across process workers: each worker owns (and
-compiled) its own chip, and every dispatch wave moves its arrays through a
-shared-memory segment plus a compact JSON hop per shard.  This benchmark
+compiled) its own chip, and every dispatch hands all its shards to the
+workers in one call, moving their arrays through one shared-memory segment
+plus a compact JSON hop per shard.  This benchmark
 records ``jobs=4`` process sharding on a batch of 256 so the BENCH trends
 catch regressions, and asserts it stays within sane bounds of a single
 session (it must not collapse to pathological serialisation costs) while

@@ -17,7 +17,7 @@ identical to a single local :class:`~repro.serve.ChipSession`:
   resubmission across server restarts).
 * **gateway** (:mod:`~repro.serve.distributed.gateway`) — fans a batch out
   across several endpoints (local pools and/or remote sessions) with
-  capacity-weighted sharding and an exact streaming merge;
+  capacity-weighted sharding and the pool's exact merge;
   ``submit()`` is non-blocking, so successive batches pipeline across the
   endpoints.
 

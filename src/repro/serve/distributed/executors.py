@@ -1,13 +1,15 @@
 """Process shard workers for :class:`~repro.serve.pool.ChipPool`.
 
-A ``jobs > 1`` pool splits each request batch into contiguous shards and
-runs them on :class:`ProcessExecutor` workers: ``multiprocessing``
-processes, each holding its own programmed chip in its own interpreter.
-The batch-sized arrays cross the process boundary through a
-:mod:`multiprocessing.shared_memory` segment (written once by the pool,
-read and filled in place by the workers), so inter-process transfer cost is
-O(1) in the batch size; the scalar-sized remainder of each
-request/response rides compact JSON.
+A ``jobs > 1`` pool cuts each request batch into contiguous shards and
+hands every shard of a dispatch to :class:`ProcessExecutor` in one call:
+``multiprocessing`` processes, each holding its own programmed chip in its
+own interpreter, and each taking the next shard as soon as it is free.  The
+batch-sized arrays cross the process boundary through one
+:mod:`multiprocessing.shared_memory` segment per dispatch (written once by
+the pool, read and filled in place by the workers), so inter-process
+transfer cost is O(1) in the batch size; the scalar-sized remainder of each
+request/response rides compact JSON.  A worker that dies never hangs a
+dispatch: fresh workers re-run its shards once, and a second death raises.
 
 The workers are **result-identical** to one
 :class:`~repro.serve.session.ChipSession`: predictions, spike counts and
@@ -25,7 +27,8 @@ from __future__ import annotations
 
 import contextlib
 import json
-import multiprocessing
+from concurrent.futures import ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
 
@@ -160,7 +163,7 @@ class ProcessExecutor:
 
     The workers sidestep the GIL entirely (which is what lets the
     structural backend's per-sample Python loop run in parallel), and each
-    dispatch wave's arrays travel through one
+    dispatch's arrays travel through one
     :mod:`multiprocessing.shared_memory` segment: the pool writes inputs
     and labels raw and reserves prediction/spike-count slots, workers
     attach by name and fill their slots in place, and only scalar-sized
@@ -174,9 +177,17 @@ class ProcessExecutor:
     ``output_dim`` is the chip's output width: the output slots are sized
     before dispatch, and every worker builds an identically-programmed chip
     from ``spec``.
+
+    A worker that dies (killed, out of memory) breaks the process pool.
+    :meth:`run_shards` then replaces every worker and re-runs the
+    dispatch's shards once — exact, because a shard is a pure function of
+    its sample range — and raises :class:`RuntimeError` if a worker dies
+    again.  A worker that died between dispatches is replaced the same way.
     """
 
     def __init__(self, spec: SessionSpec, jobs: int, output_dim: int):
+        self._spec = spec
+        self._jobs = jobs
         self._output_dim = output_dim
         # Start the parent's resource tracker before the workers so they all
         # share it (spawned children always do; forked ones only inherit a
@@ -185,99 +196,96 @@ class ProcessExecutor:
         # unlink() unregisters it from, so the segment stays tracked until
         # the parent unlinks it.
         resource_tracker.ensure_running()
-        self._pool: multiprocessing.pool.Pool | None = multiprocessing.Pool(
-            processes=jobs, initializer=_process_worker_init, initargs=(spec,)
+        self._pool: ProcessPoolExecutor | None = self._start()
+
+    def _start(self) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=self._jobs,
+            initializer=_process_worker_init,
+            initargs=(self._spec,),
         )
+
+    def _map(self, tasks: list[str]) -> list[str]:
+        """Run every task on the workers, each worker taking the next free one."""
+        futures = [self._pool.submit(_process_worker_infer_shm, task) for task in tasks]
+        try:
+            return [future.result() for future in futures]
+        finally:
+            # After a failed shard no sibling may still be writing into the
+            # segment once the caller unlinks it.
+            for future in futures:
+                future.cancel()
+            wait(futures)
 
     def run_shards(self, shards: list[InferenceRequest]) -> list[InferenceResponse]:
         if self._pool is None:
             raise RuntimeError("process executor is closed")
         if not shards:
             return []
-        # One segment per dispatch wave: lay out every shard's input/label
-        # arrays plus its preallocated output slots, 8-byte aligned.
-        entries = []
+        # One segment per dispatch: lay out every shard's input/label arrays
+        # plus its preallocated output slots, 8-byte aligned.
+        layouts = []
+        writes = []
         size = 0
         for shard in shards:
             wire = shard.to_wire_dict()
             inputs = np.ascontiguousarray(wire.pop("inputs"), dtype="<f8")
             labels = wire.pop("labels")
+            n = int(inputs.shape[0])
+            layout = {
+                "request": wire,
+                "n": n,
+                "features": int(inputs.shape[1]),
+                "output_dim": self._output_dim,
+                "labels_offset": None,
+            }
+            writes.append((size, inputs))
+            layout["inputs_offset"] = size
+            size = _pad8(size + inputs.nbytes)
             if labels is not None:
                 labels = np.ascontiguousarray(labels, dtype="<i8")
-            n = int(inputs.shape[0])
-            inputs_offset = size
-            size = _pad8(size + inputs.nbytes)
-            labels_offset = None
-            if labels is not None:
-                labels_offset = size
+                writes.append((size, labels))
+                layout["labels_offset"] = size
                 size = _pad8(size + labels.nbytes)
-            predictions_offset = size
+            layout["predictions_offset"] = size
             size = _pad8(size + n * 8)
-            spike_counts_offset = size
+            layout["spike_counts_offset"] = size
             size = _pad8(size + n * self._output_dim * 8)
-            entries.append(
-                (
-                    wire,
-                    inputs,
-                    labels,
-                    n,
-                    inputs_offset,
-                    labels_offset,
-                    predictions_offset,
-                    spike_counts_offset,
-                )
-            )
+            layouts.append(layout)
         segment = shared_memory.SharedMemory(create=True, size=max(size, 1))
         try:
-            tasks = []
-            for (
-                wire,
-                inputs,
-                labels,
-                n,
-                inputs_offset,
-                labels_offset,
-                predictions_offset,
-                spike_counts_offset,
-            ) in entries:
+            for offset, array in writes:
                 np.frombuffer(
-                    segment.buf, dtype="<f8", count=inputs.size, offset=inputs_offset
-                ).reshape(inputs.shape)[...] = inputs
-                if labels is not None:
-                    np.frombuffer(
-                        segment.buf, dtype="<i8", count=n, offset=labels_offset
-                    )[...] = labels
-                tasks.append(
-                    json.dumps(
-                        {
-                            "segment": segment.name,
-                            "request": wire,
-                            "n": n,
-                            "features": int(inputs.shape[1]),
-                            "output_dim": self._output_dim,
-                            "inputs_offset": inputs_offset,
-                            "labels_offset": labels_offset,
-                            "predictions_offset": predictions_offset,
-                            "spike_counts_offset": spike_counts_offset,
-                        }
-                    )
-                )
-            replies = self._pool.map(_process_worker_infer_shm, tasks, chunksize=1)
+                    segment.buf, dtype=array.dtype, count=array.size, offset=offset
+                )[...] = array.ravel()
+            tasks = [
+                json.dumps({"segment": segment.name, **layout}) for layout in layouts
+            ]
+            try:
+                replies = self._map(tasks)
+            except BrokenProcessPool:
+                self._pool.shutdown(cancel_futures=True)
+                self._pool = self._start()
+                try:
+                    replies = self._map(tasks)
+                except BrokenProcessPool as exc:
+                    raise RuntimeError(
+                        "a process worker died twice in one dispatch"
+                    ) from exc
             responses = []
-            for reply, entry in zip(replies, entries):
-                n = entry[3]
-                predictions_offset, spike_counts_offset = entry[6], entry[7]
+            for reply, layout in zip(replies, layouts):
+                n = layout["n"]
                 data = json.loads(reply)
                 # Copy out before the segment dies: the responses outlive it.
                 data["predictions"] = np.frombuffer(
-                    segment.buf, dtype="<i8", count=n, offset=predictions_offset
+                    segment.buf, dtype="<i8", count=n, offset=layout["predictions_offset"]
                 ).copy()
                 data["spike_counts"] = (
                     np.frombuffer(
                         segment.buf,
                         dtype="<f8",
                         count=n * self._output_dim,
-                        offset=spike_counts_offset,
+                        offset=layout["spike_counts_offset"],
                     )
                     .reshape(n, self._output_dim)
                     .copy()
@@ -294,6 +302,5 @@ class ProcessExecutor:
     def close(self) -> None:
         """Stop the worker processes (idempotent)."""
         if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
+            self._pool.shutdown()
             self._pool = None

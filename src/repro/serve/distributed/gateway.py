@@ -1,4 +1,4 @@
-"""Multi-endpoint inference gateway: capacity-weighted sharding, streaming merge.
+"""Multi-endpoint inference gateway: capacity-weighted sharding, exact merge.
 
 :class:`InferenceGateway` fans one request batch out across several
 endpoints — local :class:`~repro.serve.ChipSession`\\ s and
@@ -9,7 +9,8 @@ result.
 
 Sharding is *capacity-weighted and load-aware*: an endpoint with capacity 3
 (say, a remote pool with ``jobs=3``) receives three times the samples of a
-capacity-1 session, via cumulative rounding so the contiguous shard sizes
+capacity-1 session, via :func:`~repro.serve.schema.shard_bounds` (the split
+rule :class:`~repro.serve.ChipPool` uses too) so the contiguous shard sizes
 always sum to the batch exactly — but the static weight is discounted by the
 endpoint's backlog, which the gateway keeps itself: the shards planned onto
 the endpoint and not yet finished.  A congested endpoint thus receives less
@@ -57,10 +58,10 @@ timesteps), which is the operator's contract.
 
 The gateway is **non-blocking**: :meth:`InferenceGateway.submit` dispatches
 every shard concurrently and returns a :class:`concurrent.futures.Future`
-immediately.  Shard completions stream into the merged result as they
-arrive — the big per-sample arrays are written straight into their
-preallocated slots — and the first shard failure resolves the future with
-an error naming the endpoint instead of hanging the merge on the survivors.
+immediately.  The gateway counts shard completions as they arrive and
+folds them once the last one lands; the first shard failure resolves the
+future with an error naming the endpoint instead of hanging the merge on the
+survivors.
 Multiple batches may be in flight at once; a per-endpoint lock keeps each
 endpoint serving one shard at a time (endpoints own their internal
 concurrency), so successive batches pipeline across endpoints instead of
@@ -77,12 +78,11 @@ skipped by the planner (and by shed-retry and moves) but keep serving the
 shards already placed on them — exactly the handshake a fleet controller
 needs to retire a replica without failing work.
 
-The merge is exact: predictions and spike counts concatenate per-sample,
-event counters sum, and the energy report is the component-wise sum of the
-shard reports (every component is linear in its counters and in the shard's
-batch-duration, so the sum equals the full-batch report to floating-point
-accumulation order).  Counters and energy are reduced in shard-plan order
-regardless of completion order, so the merged numbers are deterministic.
+The merge is :meth:`~repro.serve.schema.InferenceResponse.merge`, the one
+exact fold the pool uses too: predictions and spike counts concatenate
+per-sample, event counters sum, and the energy report is the component-wise
+sum of the shard reports.  Shards fold in plan order regardless of
+completion order, so the merged numbers are deterministic.
 """
 
 from __future__ import annotations
@@ -96,10 +96,8 @@ from concurrent.futures import (
     InvalidStateError,
     ThreadPoolExecutor,
 )
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
-
-import numpy as np
 
 from repro.serve.distributed.client import RemoteServerError
 from repro.serve.metrics import (
@@ -116,6 +114,7 @@ from repro.serve.schema import (
     ERROR_OVERLOADED,
     InferenceRequest,
     InferenceResponse,
+    shard_bounds,
 )
 
 __all__ = ["GatewayEndpoint", "InferenceGateway"]
@@ -213,7 +212,7 @@ class _ShardPlan:
 
 
 class _MergeState:
-    """Accumulates streaming shard completions into one merged response."""
+    """Collects a request's shard completions and folds them into one response."""
 
     def __init__(
         self,
@@ -229,8 +228,6 @@ class _MergeState:
         self.lock = threading.Lock()
         self.remaining = len(plan)
         self.resolved = False
-        self.predictions: np.ndarray | None = None
-        self.spike_counts: np.ndarray | None = None
         self.shard_futures: list[Future] = []
 
     def shard_done(self, shard: _ShardPlan, future: Future) -> None:
@@ -284,16 +281,6 @@ class _MergeState:
             if self.resolved:
                 return
             shard.response = response
-            # Stream the per-sample arrays straight into the merged slots.
-            batch = self.request.batch_size
-            if self.predictions is None:
-                self.predictions = np.zeros(batch, dtype=response.predictions.dtype)
-                self.spike_counts = np.zeros(
-                    (batch, response.spike_counts.shape[1]),
-                    dtype=response.spike_counts.dtype,
-                )
-            self.predictions[shard.start : shard.stop] = response.predictions
-            self.spike_counts[shard.start : shard.stop] = response.spike_counts
             self.remaining -= 1
             if self.remaining > 0:
                 return
@@ -304,19 +291,9 @@ class _MergeState:
         merge_started = time.monotonic()
         plan, request = self.plan, self.request
         responses = [shard.response for shard in plan]
-        # Deterministic reduction: counters and energy merge in plan order,
-        # whatever order the shards completed in.
-        counters = responses[0].counters
-        energy = responses[0].energy
-        for shard_response in responses[1:]:
-            counters = counters.merge(shard_response.counters)
-            energy = energy.merged_with(shard_response.energy)
-        accuracy = None
-        if request.labels is not None:
-            accuracy = float(
-                np.mean(self.predictions == np.asarray(request.labels, dtype=int))
-            )
-        backends = {r.backend for r in responses}
+        # The plan is in sample order, so the fold is deterministic whatever
+        # order the shards completed in.
+        merged = InferenceResponse.merge(request, responses)
         metadata: dict[str, object] = {
             "gateway": self.gateway.name,
             "shards": [
@@ -352,20 +329,7 @@ class _MergeState:
         merge_s = time.monotonic() - merge_started
         record_phase(metadata, PHASE_MERGE, merge_s)
         self.gateway._m_merge.observe(merge_s)
-        self.result.set_result(
-            InferenceResponse(
-                predictions=self.predictions,
-                spike_counts=self.spike_counts,
-                accuracy=accuracy,
-                counters=counters,
-                energy=energy,
-                timesteps=responses[0].timesteps,
-                backend=backends.pop() if len(backends) == 1 else "mixed",
-                batch_size=request.batch_size,
-                jobs=int(sum(r.jobs for r in responses)),
-                metadata=metadata,
-            )
-        )
+        self.result.set_result(replace(merged, metadata=metadata))
 
 
 class _ShardAttempt:
@@ -884,15 +848,14 @@ class InferenceGateway:
     def shard_plan(self, batch: int) -> list[_ShardPlan]:
         """Load-aware contiguous shards covering ``[0, batch)`` exactly.
 
-        Weights are the endpoints' effective capacities (static capacity
+        :func:`~repro.serve.schema.shard_bounds` (the pool's split rule too)
+        weights the endpoints by their effective capacities (static capacity
         discounted by backlog; see the class docstring) — on idle
-        endpoints this is exactly the historical static capacity plan.
-        Cumulative rounding keeps the boundaries monotone and the final
-        boundary equal to ``batch``; endpoints whose rounded share is empty
-        (small batches, heavy backlog) are skipped rather than sent
-        degenerate requests.  Draining endpoints never appear in a new
-        plan.  A single-endpoint plan degenerates to one whole-batch shard
-        — no splitting, just the dispatch/merge envelope.
+        endpoints this is exactly the static capacity plan.  Endpoints whose
+        rounded share is empty (small batches, heavy backlog) are skipped
+        rather than sent degenerate requests.  Draining endpoints never
+        appear in a new plan.  A single-endpoint plan degenerates to one
+        whole-batch shard — no splitting, just the dispatch/merge envelope.
         """
         endpoints = self._serving_endpoints()
         if not endpoints:
@@ -900,20 +863,12 @@ class InferenceGateway:
                 f"gateway {self.name!r} has no serving endpoints (every "
                 f"endpoint was removed or is draining)"
             )
-        if len(endpoints) == 1:
-            weights = [1.0]
-        else:
-            weights = [self._effective_capacity(e) for e in endpoints]
-        total = sum(weights)
-        plan: list[_ShardPlan] = []
-        start = 0
-        cumulative = 0.0
-        for endpoint, weight in zip(endpoints, weights):
-            cumulative += weight
-            stop = round(batch * cumulative / total)
-            if stop > start:
-                plan.append(_ShardPlan(endpoint=endpoint, start=start, stop=stop))
-                start = stop
+        weights = [self._effective_capacity(e) for e in endpoints]
+        plan = [
+            _ShardPlan(endpoint=endpoint, start=start, stop=stop)
+            for endpoint, (start, stop) in zip(endpoints, shard_bounds(batch, weights))
+            if stop > start
+        ]
         return plan
 
     # -- tail-latency accounting ----------------------------------------------------
@@ -1079,9 +1034,9 @@ class InferenceGateway:
 
         Returns a future resolving to the merged
         :class:`InferenceResponse`.  All endpoint shards go out
-        concurrently; completions merge as they stream in, and a shard
-        failure resolves the future immediately with an error naming the
-        endpoint.  A shard shed by an overloaded endpoint is retried on the
+        concurrently; the last completion folds them into one response, and
+        a shard failure resolves the future immediately with an error naming
+        the endpoint.  A shard shed by an overloaded endpoint is retried on the
         least-loaded sibling within the request's retry budget (the
         request's own :class:`RetryBudget` when it carries one, else a
         default pooled budget of :data:`_RETRY_ATTEMPTS` hops per planned

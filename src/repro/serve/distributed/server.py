@@ -673,17 +673,29 @@ class ChipServer:
     def _run_batch(self, requests: list[InferenceRequest]):
         """Execute one coalesced dispatch (only ever on the single work thread).
 
-        Returns ``(responses, compute_started, compute_finished)`` on the
+        Returns ``(outcomes, compute_started, compute_finished)`` on the
         monotonic clock so the dispatcher can split the executor hop
         (``dispatch_s``) from the chip time (``compute_s``) per request.
+        Each outcome is the request's response or the exception it raised:
+        when a coalesced ``infer_many`` fails, every request re-runs alone,
+        so one bad request never fails the requests coalesced with it
+        (requests are pure functions of their inputs, so the re-run is
+        exact).
         """
         infer_many = getattr(self.target, "infer_many", None)
         started = time.monotonic()
         if infer_many is not None and len(requests) > 1:
-            responses = infer_many(requests)
-        else:
-            responses = [self.target.infer(request) for request in requests]
-        return responses, started, time.monotonic()
+            try:
+                return infer_many(requests), started, time.monotonic()
+            except Exception:  # noqa: BLE001 - re-run per request below
+                pass
+        outcomes = []
+        for request in requests:
+            try:
+                outcomes.append(self.target.infer(request))
+            except Exception as exc:  # noqa: BLE001 - this request's own error
+                outcomes.append(exc)
+        return outcomes, started, time.monotonic()
 
     async def _batch_loop(self) -> None:
         """Drain the request queue, coalescing compatible requests.
@@ -749,7 +761,7 @@ class ChipServer:
             self._inflight = len(batch)
             self._m_inflight.set(len(batch))
             try:
-                responses, compute_started, compute_finished = (
+                outcomes, compute_started, compute_finished = (
                     await self._loop.run_in_executor(
                         self._work, self._run_batch, [item.request for item in batch]
                     )
@@ -767,7 +779,11 @@ class ChipServer:
             # executor hop is `dispatch_s`, the chip time `compute_s`.
             dispatch_s = max(0.0, compute_started - dispatched_at)
             compute_s = max(0.0, compute_finished - compute_started)
-            for item, response in zip(batch, responses):
+            for item, response in zip(batch, outcomes):
+                if isinstance(response, Exception):
+                    if not item.future.done():
+                        item.future.set_exception(response)
+                    continue
                 metadata = getattr(response, "metadata", None)
                 if isinstance(metadata, dict):
                     phases = read_phases(metadata)

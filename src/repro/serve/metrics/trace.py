@@ -8,7 +8,7 @@ serving layers:
   (executor/batch handoff);
 * ``compute_s``   — the chip actually running (session/pool/executor);
 * ``merge_s``     — shard results folded back into one response
-  (pool wave merge, gateway shard merge).
+  (pool and gateway, both through ``InferenceResponse.merge``).
 
 Rather than invent a side channel, the spans ride the plumbing every
 request already has: the ``metadata`` dict of

@@ -2,12 +2,16 @@
 
 :class:`ChipPool` owns a primary :class:`~repro.serve.ChipSession`, and
 ``jobs`` is its only sharding choice.  A ``jobs=1`` pool (the default) runs
-every request whole on the primary session.  A ``jobs > 1`` pool splits each
-request batch into contiguous shards and runs them on
+every request whole on the primary session.  A ``jobs > 1`` pool cuts each
+request batch into contiguous shards with
+:func:`~repro.serve.schema.shard_bounds` — the split rule the gateway uses
+too — and runs every shard of a dispatch in one pass on
 :class:`~repro.serve.distributed.executors.ProcessExecutor` workers — one
 ``multiprocessing`` process per job, each holding its own programmed chip,
-with shard arrays moving through shared memory.  The merged response is
-*result-identical* to running the whole batch on one session:
+with shard arrays moving through shared memory.
+:meth:`~repro.serve.schema.InferenceResponse.merge` folds the shards back,
+and the merged response is *result-identical* to running the whole batch on
+one session:
 
 * encoding is shard-stable — every worker derives the pool's
   :class:`~repro.snn.encoding.EncoderState` and receives its shard's
@@ -16,10 +20,10 @@ with shard arrays moving through shared memory.  The merged response is
 * chip programming is a pure function of ``(snn, config, seed)``, so
   process workers rebuilding their own chip execute the same hardware;
 * predictions and spike counts are per-sample and concatenate exactly;
-* event counters are integer totals that sum exactly across shards, and the
-  merged counters are converted to energy through the primary session's own
-  pipeline, so components agree with a single-session run to floating-point
-  accumulation order (<< 1e-9 relative).
+* event counters are integer totals that sum exactly across shards, and
+  every energy component is linear in its counters and in the shard's
+  batch-duration, so the summed shard reports agree with a single-session
+  run to floating-point accumulation order (<< 1e-9 relative).
 
 The fused kernel already runs each chip layer as one stacked matmul per
 timestep, so threads around it add hops and no parallelism; only worker
@@ -32,8 +36,6 @@ from __future__ import annotations
 import threading
 import time
 
-import numpy as np
-
 from repro.core.config import ArchitectureConfig
 from repro.energy.components import ComponentLibrary
 from repro.serve.distributed.executors import ProcessExecutor, SessionSpec
@@ -44,7 +46,7 @@ from repro.serve.metrics import (
     get_default_registry,
     record_phase,
 )
-from repro.serve.schema import InferenceRequest, InferenceResponse
+from repro.serve.schema import InferenceRequest, InferenceResponse, shard_bounds
 from repro.serve.session import ChipSession
 from repro.snn.conversion import SpikingNetwork
 from repro.snn.encoding import EncoderState
@@ -150,23 +152,6 @@ class ChipPool:
 
     # -- inference ----------------------------------------------------------------
 
-    def _shard_bounds(self, batch: int, shards: int | None = None) -> list[tuple[int, int]]:
-        """Contiguous, near-equal shard boundaries; empty shards are dropped.
-
-        With ``batch < shards`` some workers have nothing to do; their empty
-        shards are dropped here so no worker ever receives a degenerate
-        zero-sample request (which the schema rejects).
-        """
-        shards = self.jobs if shards is None else shards
-        sizes = [len(part) for part in np.array_split(np.arange(batch), shards)]
-        bounds = []
-        start = 0
-        for size in sizes:
-            if size:
-                bounds.append((start, start + size))
-            start += size
-        return bounds
-
     def _shard_allocation(self, requests: list[InferenceRequest]) -> list[int]:
         """How many shards each request receives in one coalesced dispatch.
 
@@ -175,28 +160,13 @@ class ChipPool:
         balanced dispatch: request ``i`` is split into
         ``ceil(batch_i / ideal)`` shards, so no single shard ever exceeds
         the ideal and an oversized request is re-batched into sub-shards
-        that pack worker slots alongside the small requests riding in the
-        same dispatch.  When the requests fit one wave this reduces to the
-        historical proportional allocation; when they do not, the spill is
-        balanced sub-shards across extra waves rather than one monolithic
-        whole-request shard pinning a worker while its siblings idle.
+        that share the workers with the small requests riding in the same
+        dispatch, rather than one monolithic whole-request shard pinning a
+        worker while its siblings idle.
         """
         sizes = [request.batch_size for request in requests]
         ideal = max(1, -(-sum(sizes) // self.jobs))
         return [-(-size // ideal) for size in sizes]
-
-    @staticmethod
-    def _pack_waves(sizes: list[int], jobs: int) -> list[list[int]]:
-        """Pack shard indices into waves of at most ``jobs``, largest first.
-
-        A wave's wall-clock is its largest shard, so sorting the shards by
-        descending size and chunking minimises the summed wave maxima (each
-        wave's maximum is then exactly the smallest it can possibly be given
-        the shards that remain).  The sort is stable, so equal-sized shards
-        dispatch in plan order — packing is deterministic.
-        """
-        order = sorted(range(len(sizes)), key=lambda index: -sizes[index])
-        return [order[start : start + jobs] for start in range(0, len(order), jobs)]
 
     def infer(self, request: InferenceRequest) -> InferenceResponse:
         """Shard one request across the workers and merge their responses.
@@ -210,136 +180,85 @@ class ChipPool:
         """Run several requests as one coalesced pool dispatch.
 
         This is the dynamic-batching seam the async chip server drains its
-        request queue through.  A ``jobs=1`` pool runs the requests one after
-        another on the primary session.  A ``jobs > 1`` pool splits every
-        queued request into contiguous
-        shards carrying its *own* absolute ``sample_offset``, the shards are
-        **re-batched at the shard level** — an oversized request becomes
-        several sub-shards no larger than the dispatch's ideal makespan, and
-        the flattened shard set is packed into worker waves largest-first,
-        so sub-shards of a big request fill slots alongside small requests
-        instead of pinning one worker per request — and the shard responses
-        are regrouped per request with exactly the merge a standalone
-        :meth:`infer` performs.  Because encoding is shard-stable per
-        absolute sample index, each returned response is result-identical to
-        running that request alone on a single
-        :class:`~repro.serve.ChipSession` — re-batching changes throughput,
-        never numbers.
+        request queue through.  A ``jobs=1`` pool runs each request as itself
+        on the primary session, one after another.  A ``jobs > 1`` pool cuts
+        every request into contiguous shards with :func:`shard_bounds`
+        (carrying its *own* absolute ``sample_offset``); an oversized request
+        becomes several sub-shards no larger than the dispatch's ideal
+        makespan, so its pieces share the workers with the small requests
+        riding along.  Every shard of the dispatch goes to the workers in
+        one call, largest first, and a worker that frees up takes the next
+        shard.  :meth:`InferenceResponse.merge` folds each request's shards
+        back.  Because encoding is shard-stable per absolute sample index,
+        each returned response is result-identical to running that request
+        alone on a single :class:`~repro.serve.ChipSession` — the cut changes
+        throughput, never numbers.
 
         Requests may disagree on ``timesteps``/``labels``; each shard
-        carries its request's own overrides (shards with different
-        ``timesteps`` may share a wave — workers are independent sessions).
-        More shards than worker slots execute in successive waves of at most
-        ``jobs`` shards.
+        carries its request's own overrides.  A dispatch that cuts into one
+        shard runs it on the primary session without a round trip to the
+        workers.
         """
         if not requests:
             raise ValueError("infer_many needs at least one request")
         with self._infer_lock:
             if self._closed:
                 raise RuntimeError("pool is closed")
+            started = time.monotonic()
             if self._workers is None:
-                return self._infer_on_primary(requests)
-            plans = [
-                self._shard_bounds(request.batch_size, shards)
-                for request, shards in zip(requests, self._shard_allocation(requests))
-            ]
-            if len(requests) == 1 and len(plans[0]) <= 1:
-                # A request too small to shard runs on the primary session
-                # without a round trip to the workers.
-                return self._infer_on_primary(requests)
-            shard_requests = [
-                request.shard(start, stop)
-                for request, bounds in zip(requests, plans)
-                for start, stop in bounds
-            ]
-            # A wave never exceeds the worker count; packing decides which
-            # shards share a wave.
-            responses: list[InferenceResponse | None] = [None] * len(shard_requests)
-            waves = self._pack_waves(
-                [shard.batch_size for shard in shard_requests], self.jobs
-            )
-            compute_started = time.monotonic()
-            for wave in waves:
-                for index, response in zip(
-                    wave,
-                    self._workers.run_shards(
-                        [shard_requests[index] for index in wave]
-                    ),
-                ):
-                    responses[index] = response
-            compute_s = time.monotonic() - compute_started
+                groups = [[self._primary.infer(request)] for request in requests]
+            else:
+                groups = self._run_sharded(requests)
+            compute_s = time.monotonic() - started
         self._m_dispatches.inc()
-        self._m_shards.inc(len(shard_requests))
+        self._m_shards.inc(sum(len(parts) for parts in groups))
         self._m_compute.observe(compute_s)
         merged = []
-        cursor = 0
-        for request, bounds in zip(requests, plans):
+        for request, parts in zip(requests, groups):
             merge_started = time.monotonic()
-            response = self._merge_request(
-                request, responses[cursor : cursor + len(bounds)]
-            )
-            merge_s = time.monotonic() - merge_started
-            # Every request in the dispatch waited for every wave (merging
-            # starts only once all shards are back), so the dispatch's
-            # compute wall is each request's compute span; the merge span
-            # is the request's own.
+            response = InferenceResponse.merge(request, parts)
+            # Every request waits for the whole dispatch, so the dispatch's
+            # compute wall is each request's compute span; a request folded
+            # from several shards also records its own merge span.
             record_phase(response.metadata, PHASE_COMPUTE, compute_s)
-            record_phase(response.metadata, PHASE_MERGE, merge_s)
-            self._m_merge.observe(merge_s)
+            if len(parts) > 1:
+                merge_s = time.monotonic() - merge_started
+                record_phase(response.metadata, PHASE_MERGE, merge_s)
+                self._m_merge.observe(merge_s)
             merged.append(response)
-            cursor += len(bounds)
         return merged
 
-    def _infer_on_primary(
+    def _run_sharded(
         self, requests: list[InferenceRequest]
-    ) -> list[InferenceResponse]:
-        """Run each request whole on the primary session, in order."""
-        started = time.monotonic()
-        responses = [self.session.infer(request) for request in requests]
-        compute_s = time.monotonic() - started
-        # As in a sharded dispatch, every request waits for the whole
-        # dispatch, so its compute span is the dispatch's wall.
-        for response in responses:
-            record_phase(response.metadata, PHASE_COMPUTE, compute_s)
-        self._m_dispatches.inc()
-        self._m_shards.inc(len(requests))
-        self._m_compute.observe(compute_s)
-        return responses
-
-    def _merge_request(
-        self, request: InferenceRequest, responses: list[InferenceResponse]
-    ) -> InferenceResponse:
-        """Merge one request's shard responses (exact, same as a single run)."""
-        if len(responses) == 1:
-            return responses[0]
-        batch = request.batch_size
-        timesteps = (
-            request.timesteps
-            if request.timesteps is not None
-            else self.session.timesteps
-        )
-        predictions = np.concatenate([r.predictions for r in responses])
-        spike_counts = np.vstack([r.spike_counts for r in responses])
-        counters = responses[0].counters
-        for shard in responses[1:]:
-            counters = counters.merge(shard.counters)
-        # Recompute energy from the merged counters through the primary
-        # session's pipeline: identical to a single full-batch run (the
-        # static/leakage terms are linear in the batch size).
-        energy = self.session.energy_for(counters, batch=batch, timesteps=timesteps)
-        accuracy = None
-        if request.labels is not None:
-            accuracy = float(
-                np.mean(predictions == np.asarray(request.labels, dtype=int))
-            )
-        return InferenceResponse(
-            predictions=predictions,
-            spike_counts=spike_counts,
-            accuracy=accuracy,
-            counters=counters,
-            energy=energy,
-            timesteps=timesteps,
-            backend=self.session.backend,
-            batch_size=batch,
-            jobs=len(responses),
-        )
+    ) -> list[list[InferenceResponse]]:
+        """Cut every request, run all shards in one pass, regroup per request."""
+        plans = [
+            [
+                (start, stop)
+                for start, stop in shard_bounds(request.batch_size, [1.0] * shards)
+                if stop > start
+            ]
+            for request, shards in zip(requests, self._shard_allocation(requests))
+        ]
+        shards = [
+            request.shard(start, stop)
+            for request, bounds in zip(requests, plans)
+            for start, stop in bounds
+        ]
+        if len(shards) == 1:
+            responses = [self._primary.infer(shards[0])]
+        else:
+            # Largest first, stable: the long shards start at once and the
+            # short ones fill the workers that free up behind them.
+            order = sorted(range(len(shards)), key=lambda index: -shards[index].batch_size)
+            responses = [None] * len(shards)
+            for index, response in zip(
+                order, self._workers.run_shards([shards[index] for index in order])
+            ):
+                responses[index] = response
+        groups = []
+        cursor = 0
+        for bounds in plans:
+            groups.append(responses[cursor : cursor + len(bounds)])
+            cursor += len(bounds)
+        return groups

@@ -49,6 +49,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -75,6 +76,7 @@ __all__ = [
     "parse_frame_header",
     "reply_envelope",
     "request_envelope",
+    "shard_bounds",
 ]
 
 #: Version tag embedded in every serialised response.
@@ -458,6 +460,29 @@ def _check_fields(
         raise ValueError(f"{what} payload has unknown fields: {sorted(unknown)}")
 
 
+def shard_bounds(batch: int, weights: Sequence[float]) -> list[tuple[int, int]]:
+    """Contiguous ``(start, stop)`` shards of ``[0, batch)``, one per weight.
+
+    The one split rule of the serving stack: the pool calls it with equal
+    weights, the gateway with its endpoints' effective capacities.  Shard
+    ``i`` ends at ``round(batch * (w_0 + ... + w_i) / total)``, so the
+    boundaries are monotone, the last one is ``batch`` and every shard's size
+    is within one sample of its weighted share.  A share that rounds to
+    nothing stays empty (``start == stop``); callers skip it rather than send
+    a zero-sample request, which the schema rejects.
+    """
+    total = sum(weights)
+    bounds = []
+    start = 0
+    cumulative = 0.0
+    for weight in weights:
+        cumulative += weight
+        stop = round(batch * cumulative / total)
+        bounds.append((start, stop))
+        start = stop
+    return bounds
+
+
 @dataclass(frozen=True)
 class InferenceRequest:
     """One batch of inputs for a :class:`~repro.serve.ChipSession`.
@@ -619,6 +644,52 @@ class InferenceResponse:
     batch_size: int
     jobs: int = 1
     metadata: dict[str, object] = field(default_factory=dict)
+
+    @classmethod
+    def merge(
+        cls, request: InferenceRequest, parts: Sequence["InferenceResponse"]
+    ) -> "InferenceResponse":
+        """Fold the responses to contiguous shards of ``request`` back into one.
+
+        The inverse of :meth:`InferenceRequest.shard`, with ``parts`` in
+        sample order.  Predictions and spike counts concatenate; event
+        counters sum; the energy report is the component-wise sum of the
+        shard reports (every component is linear in its counters and in the
+        shard's batch-duration, so the sum equals a whole-batch report to
+        floating-point accumulation order).  A single part is already the
+        whole answer and is returned as is.
+        """
+        if len(parts) == 1:
+            return parts[0]
+        batch = request.batch_size
+        predictions = np.concatenate([part.predictions for part in parts])
+        spike_counts = np.concatenate([part.spike_counts for part in parts])
+        if len(predictions) != batch:
+            raise ValueError(
+                f"shards hold {len(predictions)} samples, the request {batch}"
+            )
+        counters = parts[0].counters
+        energy = parts[0].energy
+        for part in parts[1:]:
+            counters = counters.merge(part.counters)
+            energy = energy.merged_with(part.energy)
+        accuracy = None
+        if request.labels is not None:
+            accuracy = float(
+                np.mean(predictions == np.asarray(request.labels, dtype=int))
+            )
+        backends = {part.backend for part in parts}
+        return cls(
+            predictions=predictions,
+            spike_counts=spike_counts,
+            accuracy=accuracy,
+            counters=counters,
+            energy=energy,
+            timesteps=parts[0].timesteps,
+            backend=backends.pop() if len(backends) == 1 else "mixed",
+            batch_size=batch,
+            jobs=sum(part.jobs for part in parts),
+        )
 
     def to_dict(self) -> dict[str, object]:
         """JSON-compatible representation (lossless float round trip)."""

@@ -111,23 +111,6 @@ def run_structural(
     return predictions, spike_counts, counters
 
 
-def run_vectorized(
-    chip: ResparcChip, spike_train: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, EventCounters]:
-    """Fast path: compiled chip, whole-batch NumPy execution.
-
-    The compiled program is cached per chip instance, so repeated runs on
-    the same chip pay the compilation cost once.
-    """
-    from repro.fastpath import VectorizedChipEngine
-
-    outcome = VectorizedChipEngine.from_chip(chip).run_batch(spike_train)
-    return outcome.predictions, outcome.spike_counts, outcome.counters
-
-
-_BACKEND_RUNNERS = {"structural": run_structural, "vectorized": run_vectorized}
-
-
 # -- the session --------------------------------------------------------------------
 
 
@@ -251,9 +234,9 @@ class ChipSession:
     ) -> EnergyReport:
         """Convert run counters into the session's energy report.
 
-        Exposed separately from :meth:`infer` so a pool can recompute the
-        energy of *merged* shard counters through the exact pipeline a
-        single-session run uses, keeping sharded responses result-identical.
+        Every component is linear in its counters and in ``batch``, so the
+        reports of contiguous shards sum to the whole batch's report (see
+        :meth:`~repro.serve.schema.InferenceResponse.merge`).
         """
         # A per-timestep latency of one crossbar read + integration per
         # time-multiplex stage, matching the analytical latency model.
@@ -300,9 +283,7 @@ class ChipSession:
                 "build_s": 0.0 if hit else time.monotonic() - plan_started,
             }
         else:
-            predictions, spike_counts, counters = _BACKEND_RUNNERS[self.backend](
-                self.chip, spike_train
-            )
+            predictions, spike_counts, counters = run_structural(self.chip, spike_train)
         counters.neuron_spikes += float(spike_counts.sum())
         energy = self.energy_for(counters, batch=x.shape[0], timesteps=timesteps)
         accuracy = None

@@ -216,7 +216,9 @@ class TestPoolInferMany:
         for want, got in zip(expected, responses):
             _assert_identical(want, got)
 
-    def test_more_requests_than_jobs_run_in_waves(self, workload, single_session):
+    def test_more_requests_than_jobs_share_one_dispatch(
+        self, workload, single_session
+    ):
         snn, config, inputs, labels = workload
         requests = [
             InferenceRequest(inputs=inputs[i : i + 2], labels=labels[i : i + 2],
@@ -246,7 +248,7 @@ class TestPoolInferMany:
             assert pool._shard_allocation([req(1), req(1), req(1)]) == [1, 1, 1]
             # One request soaks up every worker slot.
             assert pool._shard_allocation([req(13)]) == [4]
-            # More requests than slots: one shard each (waves handle the rest).
+            # More requests than slots: one shard each, one dispatch.
             assert pool._shard_allocation([req(2)] * 6) == [1] * 6
         with ChipPool(
             snn, jobs=2, config=config, timesteps=5, encoder="poisson", seed=21
@@ -280,23 +282,44 @@ class TestPoolInferMany:
             # 13 + 2 samples on 2 workers: ideal makespan 8, so the big
             # request becomes 2 sub-shards (7+6) and the small stays whole.
             assert pool._shard_allocation([req(13), req(2)]) == [2, 1]
-            # 100 + 2 on 2 workers: the big request spills across waves in
-            # balanced halves rather than one 100-sample shard.
+            # 100 + 2 on 2 workers: the big request is cut in balanced
+            # halves rather than run as one 100-sample shard.
             assert pool._shard_allocation([req(100), req(2)]) == [2, 1]
-            # 6 + 2 on 4 workers fit one wave: big sub-shards (2+2+2) pack
+            # 6 + 2 on 4 workers fit one dispatch: big sub-shards (2+2+2) pack
             # worker slots alongside the small request.
         with ChipPool(
             snn, jobs=4, config=config, timesteps=5, encoder="poisson", seed=21
         ) as pool:
             assert pool._shard_allocation([req(6), req(2)]) == [3, 1]
 
-    def test_wave_packing_is_largest_first_and_deterministic(self):
-        # Sorting by descending size and chunking minimises the summed wave
-        # maxima; the stable sort keeps equal sizes in plan order.
-        assert ChipPool._pack_waves([7, 6, 2, 2], 2) == [[0, 1], [2, 3]]
-        assert ChipPool._pack_waves([2, 7, 3], 2) == [[1, 2], [0]]
-        assert ChipPool._pack_waves([4, 4, 4], 3) == [[0, 1, 2]]
-        assert ChipPool._pack_waves([1], 4) == [[0]]
+    def test_run_shards_gets_one_largest_first_stable_list(
+        self, workload, single_session
+    ):
+        # Every shard of a dispatch reaches the workers in one call, largest
+        # first; the stable sort keeps equal sizes in plan order.
+        snn, config, inputs, labels = workload
+        requests = [
+            InferenceRequest(inputs=inputs[:2], labels=labels[:2]),
+            InferenceRequest(inputs=inputs[2:9], sample_offset=2),
+            InferenceRequest(inputs=inputs[9:12], labels=labels[9:12], sample_offset=9),
+        ]
+        expected = [single_session.infer(request) for request in requests]
+        with ChipPool(
+            snn, jobs=2, config=config, timesteps=5, encoder="poisson", seed=21
+        ) as pool:
+            calls = []
+            run_shards = pool._workers.run_shards
+
+            def recording(shards):
+                calls.append([(s.sample_offset, s.batch_size) for s in shards])
+                return run_shards(shards)
+
+            pool._workers.run_shards = recording
+            responses = pool.infer_many(requests)
+        # 12 samples on 2 jobs: the 7-sample request is cut 4 + 3.
+        assert calls == [[(2, 4), (6, 3), (9, 3), (0, 2)]]
+        for want, got in zip(expected, responses):
+            _assert_identical(want, got)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_mixed_small_and_oversized_requests_split_back_exactly(
@@ -401,6 +424,36 @@ class TestServerDynamicBatching:
         assert server.stats["requests"] == 3
         for request, response in zip((first, second, third), responses):
             _assert_identical(single_session.infer(request), response)
+
+    def test_bad_request_fails_alone_when_coalesced(self, workload, single_session):
+        # One client's malformed request (47 features for a 48-input chip)
+        # coalesces with another client's valid one.  The failed dispatch
+        # re-runs each request alone: the bad one gets its own error, its
+        # batch-mate the exact single-session answer.
+        _, _, inputs, _ = workload
+        gate = _GateTarget(_fresh_session(workload))
+        head = InferenceRequest(inputs=inputs[:3])
+        bad = InferenceRequest(inputs=inputs[:4, :47])
+        good = InferenceRequest(inputs=inputs[4:9], sample_offset=4)
+        with ChipServer(gate, port=0, workload="gate").start() as server:
+            with PipelinedSession.connect(server.address, connections=1) as client_a:
+                with PipelinedSession.connect(server.address, connections=1) as client_b:
+                    head_future = client_a.submit(head)
+                    assert gate.entered.wait(timeout=10), "first dispatch never ran"
+                    bad_future = client_a.submit(bad)
+                    good_future = client_b.submit(good)
+                    self._wait_for_queue(server, 2)
+                    gate.release.set()
+                    head_response = head_future.result(timeout=60)
+                    good_response = good_future.result(timeout=60)
+                    with pytest.raises(
+                        RemoteServerError, match="layer 0 expects 48 inputs, got 47"
+                    ):
+                        bad_future.result(timeout=60)
+        assert server.stats["max_coalesced"] == 2
+        assert gate.dispatches[:2] == [1, 2]
+        _assert_identical(single_session.infer(head), head_response)
+        _assert_identical(single_session.infer(good), good_response)
 
     def test_incompatible_timesteps_never_coalesce(self, workload, single_session):
         _, _, inputs, _ = workload

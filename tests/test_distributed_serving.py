@@ -13,6 +13,8 @@ across mixed local/remote endpoints.
 from __future__ import annotations
 
 import multiprocessing
+import os
+import signal
 import struct
 import subprocess
 import sys
@@ -173,7 +175,7 @@ class TestExecutors:
         # under fork once the tracker runs, i.e. for every pool after the
         # first).  A worker that unregistered the dispatch segment on attach
         # made the parent's unlink() fail inside the tracker, which printed
-        # a KeyError traceback per dispatch wave.  A forked worker that
+        # a KeyError traceback per dispatch.  A forked worker that
         # started a tracker of its own instead reports the parent's
         # segments as leaked when it exits.
         script = textwrap.dedent(
@@ -209,6 +211,89 @@ class TestExecutors:
         assert "KeyError" not in result.stderr, result.stderr
         assert "Traceback" not in result.stderr, result.stderr
         assert "leaked" not in result.stderr, result.stderr
+
+
+    @pytest.mark.parametrize("when", ["mid-dispatch", "idle"])
+    def test_a_killed_worker_never_hangs_the_pool(self, when, tmp_path):
+        # A worker SIGKILLed mid-dispatch used to leave its task unanswered
+        # forever, blocking the pool (and a server's only work thread).  Now
+        # fresh workers re-run the dispatch's shards, exactly; a worker that
+        # died between dispatches is replaced before the next one.  A worker
+        # that dies on every attempt fails the dispatch with a clear error.
+        script = textwrap.dedent(
+            f"""
+            import multiprocessing
+            import os
+            import signal
+
+            import numpy as np
+
+            from repro.core import ArchitectureConfig
+            from repro.serve import ChipPool, ChipSession, InferenceRequest
+            from repro.serve.distributed import executors
+            from repro.snn import Dense, Network, convert_to_snn
+
+            def kill_self_once(task, _run=executors._process_worker_infer_shm):
+                # The first shard to start kills its worker; re-runs pass.
+                try:
+                    os.close(os.open(MARKER, os.O_CREAT | os.O_EXCL))
+                except FileExistsError:
+                    return _run(task)
+                os.kill(os.getpid(), signal.SIGKILL)
+
+            def kill_self_always(task):
+                os.kill(os.getpid(), signal.SIGKILL)
+
+            if __name__ == "__main__":
+                multiprocessing.set_start_method("fork")
+                MARKER = {str(tmp_path / "killed")!r}
+                rng = np.random.default_rng(0)
+                network = Network((16,), [Dense(16, 4, use_bias=False, rng=rng)])
+                snn = convert_to_snn(network, rng.random((8, 16)))
+                config = ArchitectureConfig(crossbar_rows=16, crossbar_columns=16)
+                request = InferenceRequest(inputs=rng.random((12, 16)))
+                expected = ChipSession(snn, config=config, timesteps=2).infer(request)
+                with ChipPool(snn, jobs=2, config=config, timesteps=2) as pool:
+                    if {when!r} == "mid-dispatch":
+                        executors._process_worker_infer_shm = kill_self_once
+                    else:
+                        pool.infer(request)
+                        victim = multiprocessing.active_children()[0]
+                        os.kill(victim.pid, signal.SIGKILL)
+                        victim.join()
+                    response = pool.infer(request)
+                    np.testing.assert_array_equal(
+                        expected.predictions, response.predictions
+                    )
+                    np.testing.assert_array_equal(
+                        expected.spike_counts, response.spike_counts
+                    )
+                    executors._process_worker_infer_shm = kill_self_always
+                    try:
+                        pool.infer(request)
+                    except RuntimeError as exc:
+                        print("raised:", exc)
+                print("exact")
+            """
+        )
+        # Its own session, so a hang takes its worker processes down with it.
+        child = subprocess.Popen(
+            [sys.executable, "-c", script],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            stdout, stderr = child.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+            pytest.fail(f"pool hung after a worker was killed ({when})")
+        assert child.returncode == 0, stderr
+        assert "raised: a process worker died twice in one dispatch" in stdout
+        assert stdout.rstrip().endswith("exact"), stdout
+        assert "leaked" not in stderr, stderr
 
 
 # -- server / client ----------------------------------------------------------------

@@ -19,6 +19,7 @@ import pytest
 from repro.core import ArchitectureConfig, EventCounters
 from repro.energy.model import EnergyReport
 from repro.serve import ChipPool, ChipSession, InferenceRequest, InferenceResponse
+from repro.serve.schema import shard_bounds
 from repro.snn import Dense, EncoderState, Network, convert_to_snn
 
 ENERGY_RTOL = 1e-9
@@ -177,14 +178,14 @@ class TestChipPoolParity:
         # no worker ever receives a degenerate zero-sample request, and the
         # result still matches a single session exactly.
         snn, config, inputs, labels = workload
+        # Equal weights over 4 jobs leave two of the 2-sample shards empty.
+        assert shard_bounds(2, [1.0] * 4) == [(0, 0), (0, 1), (1, 2), (2, 2)]
         request = InferenceRequest(inputs=inputs[:2], labels=labels[:2])
         session = ChipSession(snn, config=config, timesteps=5, encoder="poisson", seed=1)
         single = session.infer(request)
         with ChipPool(
             snn, jobs=4, config=config, timesteps=5, encoder="poisson", seed=1
         ) as pool:
-            assert pool._shard_bounds(2) == [(0, 1), (1, 2)]
-            assert all(stop > start for start, stop in pool._shard_bounds(2))
             response = pool.infer(request)
         assert response.jobs == 2
         _assert_responses_identical(single, response)
